@@ -184,7 +184,6 @@ def cmd_simulate(config_path: str, output: str | None = None) -> int:
         split_fraction=_cfg_float(cfg, "split_fraction"),
         isotonic=IsotonicFitOptions(lipschitz=_cfg_float(cfg, "lipschitz"),
                                     grid_size=_cfg_int(cfg, "grid_size")),
-        output_path=out_path,
     )
     lines = _header_lines(cfg)
     if cfg["m_values"]:

@@ -2,15 +2,25 @@
 
 The per-sample loss is l_{sigma,theta}(y | x) = -int_0^{y<theta,x>} sigma(-v) dv,
 which specializes to the logistic loss (up to an additive constant) for the
-logistic link. Four modes are supported:
+logistic link. The four ``LossMode``s count labels in one of two ways, and
+each way has its own loss kernel over the margins u = X theta:
 
-  MultiLabel      average the model-link loss over all (i, j) label pairs
-  MajorityVote    aggregate each row by majority (seeded fair tie-break), then
-                  fit the model-link loss on the single aggregated label
-  PerLabelerLinks one link per labeler (used by the semiparametric refit)
-  CrowdScaled     per-labeler link loss with scaled-logistic links
-                  sigma(t) = 1/(1 + exp(-alpha_j t)); at alpha = 1 this is the
-                  plain multi-label logistic loss
+  binomial     k_i of M labels are +1 under the one model link, so row i
+               costs k_i S(-u_i) + (M - k_i) S(u_i) with S the link
+               antiderivative. MultiLabel counts k_i = #{j: Y_ij = +1} out of
+               M = m; MajorityVote counts the row's majority label (seeded
+               fair tie-break) out of M = 1.
+  per-labeler  labeler j has its own link, evaluated at -Y_ij u_i.
+               PerLabelerLinks takes the links as given (the semiparametric
+               refit); CrowdScaled builds the scaled-logistic links
+               sigma(t) = 1/(1 + exp(-alpha_j t)), which at alpha = 1 give
+               the plain multi-label logistic loss.
+
+``fit`` reduces the labels to a kernel once, then runs damped Newton until
+the gradient norm reaches ``grad_tol``, theta diverges, no step decreases the
+loss, or the Newton decrement lambda^2 = g^T H^{-1} g falls to the loss's
+round-off (Boyd & Vandenberghe, Convex Optimization, 9.5.1). In the last case
+it takes the full Newton step, whose decrease a line search cannot resolve.
 """
 
 from __future__ import annotations
@@ -44,6 +54,10 @@ __all__ = [
     "loss_hessian",
     "fit",
 ]
+
+# A Newton decrement below this share of max(1, |loss|) is within the
+# round-off of the loss, where the Armijo test cannot see the decrease.
+DECREMENT_ROUNDOFF = 64 * np.finfo(float).eps
 
 
 class NonConvergence(RuntimeError):
@@ -100,6 +114,68 @@ def link_loss(link: LinkSpec, theta, x, y) -> float:
     return float(link_antiderivative(link, -y * margin))
 
 
+class _BinomialKernel:
+    """k_i of M labels are +1, all under one link, evaluated at +-u.
+
+    ``loss`` is the mean loss over the n*M labels; ``grad`` returns c with
+    gradient X^T c and ``hess`` returns w with Hessian X^T diag(w) X. The
+    two are separate calls so that the last iterate, which needs only the
+    gradient, skips the Hessian weights.
+    """
+
+    def __init__(self, link: LinkSpec, k: np.ndarray, M: int):
+        self.link, self.k, self.M = link, k, float(M)
+        self.scale = k.size * self.M
+
+    def loss(self, u: np.ndarray) -> float:
+        link, k, M = self.link, self.k, self.M
+        vals = k * link_antiderivative(link, -u) + (M - k) * link_antiderivative(link, u)
+        return float(vals.sum() / self.scale)
+
+    def grad(self, u: np.ndarray) -> np.ndarray:
+        link, k, M = self.link, self.k, self.M
+        return ((M - k) * link_eval(link, u) - k * link_eval(link, -u)) / self.scale
+
+    def hess(self, u: np.ndarray) -> np.ndarray:
+        link, k, M = self.link, self.k, self.M
+        return (k * link_derivative(link, -u) + (M - k) * link_derivative(link, u)) / self.scale
+
+    def separated(self, u: np.ndarray) -> bool:
+        return bool(np.all(np.where(u > 0, self.k == self.M, (u < 0) & (self.k == 0))))
+
+
+class _PerLabelerKernel:
+    """Labeler j scores its column with its own link, evaluated only at
+    -Y_ij u_i. ``Y`` stays int8; one column at a time is made float. Same
+    methods as ``_BinomialKernel``."""
+
+    def __init__(self, links: tuple[LinkSpec, ...], Y: np.ndarray):
+        self.links, self.Y = links, Y
+        self.scale = Y.shape[0] * Y.shape[1]
+
+    def loss(self, u: np.ndarray) -> float:
+        total = 0.0
+        for j, link in enumerate(self.links):
+            total += float(link_antiderivative(link, -(self.Y[:, j] * u)).sum())
+        return total / self.scale
+
+    def grad(self, u: np.ndarray) -> np.ndarray:
+        coef = np.zeros(u.size)
+        for j, link in enumerate(self.links):
+            yj = self.Y[:, j].astype(float)
+            coef -= yj * link_eval(link, -yj * u)
+        return coef / self.scale
+
+    def hess(self, u: np.ndarray) -> np.ndarray:
+        w = np.zeros(u.size)
+        for j, link in enumerate(self.links):
+            w += link_derivative(link, -(self.Y[:, j] * u))
+        return w / self.scale
+
+    def separated(self, u: np.ndarray) -> bool:
+        return bool(np.all(self.Y * u[:, None] > 0))
+
+
 def _check_dims(spec: LossSpec, theta: np.ndarray, dataset: MultiLabelDataset):
     if theta.shape != (dataset.d,):
         raise DimensionMismatch(
@@ -110,101 +186,39 @@ def _check_dims(spec: LossSpec, theta: np.ndarray, dataset: MultiLabelDataset):
         raise DimensionMismatch("need one alpha per labeler column")
 
 
-def _aggregate(spec: LossSpec, dataset: MultiLabelDataset) -> np.ndarray:
-    return majority_vote_matrix(dataset.Y, spec.tie_seed, spec.tie_trial)
-
-
-def _eval_terms(spec: LossSpec, theta: np.ndarray, dataset: MultiLabelDataset,
-                ybar: np.ndarray | None, want: str):
-    """Shared evaluation core; ``want`` in {'loss','grad','hess'}.
-
-    Returns the scalar loss, the gradient vector, or the per-row Hessian
-    weights w_i such that H = X^T diag(w) X.
-    """
-    X, Y = dataset.X, dataset.Y
-    n, m = dataset.n, dataset.m
-    u = X @ theta
-
-    if spec.mode in (LossMode.MULTI_LABEL, LossMode.MAJORITY_VOTE):
-        link = spec.model_link
-        if spec.mode is LossMode.MAJORITY_VOTE:
-            k = (ybar.astype(float) + 1.0) / 2.0  # 1 if +1 else 0
-            mm = 1.0
-        else:
-            k = (Y == 1).sum(axis=1).astype(float)
-            mm = float(m)
-        if want == "loss":
-            # l(y|x) = S(-y u) with S the link antiderivative
-            vals = k * link_antiderivative(link, -u) \
-                + (mm - k) * link_antiderivative(link, u)
-            return float(vals.sum() / (n * mm))
-        if want == "grad":
-            coef = -(k * link_eval(link, -u) - (mm - k) * link_eval(link, u))
-            return (X.T @ coef) / (n * mm)
-        w = k * link_derivative(link, -u) + (mm - k) * link_derivative(link, u)
-        return w / (n * mm)
-
-    # PerLabelerLinks and CrowdScaled share the per-labeler link loss;
-    # CrowdScaled just uses scaled-logistic links built from alpha.
+def _reduce(spec: LossSpec, dataset: MultiLabelDataset):
+    """The loss kernel of ``spec`` on ``dataset``, with the labels counted."""
+    Y = dataset.Y
+    if spec.mode is LossMode.MULTI_LABEL:
+        return _BinomialKernel(spec.model_link, (Y == 1).sum(axis=1).astype(float),
+                               dataset.m)
+    if spec.mode is LossMode.MAJORITY_VOTE:
+        ybar = majority_vote_matrix(Y, spec.tie_seed, spec.tie_trial)
+        return _BinomialKernel(spec.model_link, (ybar.astype(float) + 1.0) / 2.0, 1)
     if spec.mode is LossMode.CROWD_SCALED:
-        links = tuple(scaled_logistic_link(a) for a in spec.alpha)
-    else:
-        links = spec.links
-    if want == "loss":
-        total = 0.0
-        for j, link in enumerate(links):
-            yu = Y[:, j] * u
-            total += float(link_antiderivative(link, -yu).sum())
-        return total / (n * m)
-    if want == "grad":
-        coef = np.zeros(n)
-        for j, link in enumerate(links):
-            yj = Y[:, j].astype(float)
-            coef -= yj * link_eval(link, -yj * u)
-        return (X.T @ coef) / (n * m)
-    w = np.zeros(n)
-    for j, link in enumerate(links):
-        yj = Y[:, j].astype(float)
-        w += link_derivative(link, -yj * u)
-    return w / (n * m)
+        return _PerLabelerKernel(tuple(scaled_logistic_link(a) for a in spec.alpha), Y)
+    return _PerLabelerKernel(spec.links, Y)
+
+
+def _kernel_and_margins(spec: LossSpec, theta, dataset: MultiLabelDataset):
+    theta = np.asarray(theta, dtype=float)
+    _check_dims(spec, theta, dataset)
+    return _reduce(spec, dataset), dataset.X @ theta
 
 
 def loss_value(spec: LossSpec, theta, dataset: MultiLabelDataset) -> float:
-    theta = np.asarray(theta, dtype=float)
-    _check_dims(spec, theta, dataset)
-    ybar = _aggregate(spec, dataset) if spec.mode is LossMode.MAJORITY_VOTE else None
-    return _eval_terms(spec, theta, dataset, ybar, "loss")
+    kernel, u = _kernel_and_margins(spec, theta, dataset)
+    return kernel.loss(u)
 
 
 def loss_gradient(spec: LossSpec, theta, dataset: MultiLabelDataset) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    _check_dims(spec, theta, dataset)
-    ybar = _aggregate(spec, dataset) if spec.mode is LossMode.MAJORITY_VOTE else None
-    return _eval_terms(spec, theta, dataset, ybar, "grad")
+    kernel, u = _kernel_and_margins(spec, theta, dataset)
+    return dataset.X.T @ kernel.grad(u)
 
 
 def loss_hessian(spec: LossSpec, theta, dataset: MultiLabelDataset) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    _check_dims(spec, theta, dataset)
-    ybar = _aggregate(spec, dataset) if spec.mode is LossMode.MAJORITY_VOTE else None
-    w = _eval_terms(spec, theta, dataset, ybar, "hess")
-    return dataset.X.T @ (w[:, None] * dataset.X)
-
-
-def _fully_separated(spec: LossSpec, theta: np.ndarray,
-                     dataset: MultiLabelDataset, ybar) -> bool:
-    """True when theta classifies every training label strictly correctly.
-
-    Monotone link losses then have no finite minimizer, so a solver that
-    terminated (by tolerance or underflow) at a large-norm theta is on a
-    divergent ray even if the norm never reached the divergence threshold.
-    """
-    if np.linalg.norm(theta) < 10.0:
-        return False
-    u = dataset.X @ theta
-    if spec.mode is LossMode.MAJORITY_VOTE:
-        return bool(np.all(ybar * u > 0))
-    return bool(np.all(dataset.Y * u[:, None] > 0))
+    kernel, u = _kernel_and_margins(spec, theta, dataset)
+    return dataset.X.T @ (kernel.hess(u)[:, None] * dataset.X)
 
 
 def fit(spec: LossSpec, dataset: MultiLabelDataset,
@@ -212,90 +226,66 @@ def fit(spec: LossSpec, dataset: MultiLabelDataset,
     """Minimize the empirical loss by damped Newton with backtracking.
 
     Falls back to a gradient step whenever the (ridge-regularized) Hessian
-    solve fails or does not give a descent direction. Stops early with
-    separable=True when ||theta|| exceeds the divergence threshold while the
-    loss keeps decreasing (no finite minimizer).
+    solve fails or does not give a descent direction. A fit whose theta
+    diverged or separates every training label has no finite minimizer and
+    reports separable=True; any other fit is converged when ||grad|| <=
+    max(grad_tol, 1e-8) and raises NonConvergence when it is not.
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
-    d = dataset.d
+    d, X, ridge = dataset.d, dataset.X, opts.ridge
     theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    _check_dims(spec, theta, dataset)
-    ybar = _aggregate(spec, dataset) if spec.mode is LossMode.MAJORITY_VOTE else None
+    kernel, u = _kernel_and_margins(spec, theta, dataset)
 
-    def f(th):
-        val = _eval_terms(spec, th, dataset, ybar, "loss")
-        if opts.ridge > 0:
-            val += 0.5 * opts.ridge * float(th @ th)
-        return val
+    def loss_at(th, u):
+        return kernel.loss(u) + 0.5 * ridge * float(th @ th)
 
-    def grad(th):
-        g = _eval_terms(spec, th, dataset, ybar, "grad")
-        if opts.ridge > 0:
-            g = g + opts.ridge * th
-        return g
+    def grad_at(th, u):
+        return X.T @ kernel.grad(u) + ridge * th
 
-    loss = f(theta)
-    meta = {"grad_tol": opts.grad_tol, "ridge": opts.ridge,
-            "divergence_threshold": opts.divergence_threshold}
-    for it in range(opts.max_iters):
-        g = grad(theta)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= opts.grad_tol:
-            sep = _fully_separated(spec, theta, dataset, ybar)
-            return FitResult(theta_hat=theta, iterations=it,
-                             final_gradient_norm=gnorm, separable=sep,
-                             converged=not sep, metadata=meta)
-        if np.linalg.norm(theta) > opts.divergence_threshold:
-            return FitResult(theta_hat=theta, iterations=it,
-                             final_gradient_norm=gnorm, separable=True,
-                             converged=False, metadata=meta)
-
-        w = _eval_terms(spec, theta, dataset, ybar, "hess")
-        H = dataset.X.T @ (w[:, None] * dataset.X)
-        if opts.ridge > 0:
-            H = H + opts.ridge * np.eye(d)
+    loss = loss_at(theta, u)
+    g = grad_at(theta, u)
+    iterations = 0
+    while (iterations < opts.max_iters and np.linalg.norm(g) > opts.grad_tol
+           and np.linalg.norm(theta) <= opts.divergence_threshold):
+        H = X.T @ (kernel.hess(u)[:, None] * X) + ridge * np.eye(d)
         step = None
         try:
             step = np.linalg.solve(H + 1e-14 * np.eye(d), -g)
             if float(step @ g) >= 0:
                 step = None
         except np.linalg.LinAlgError:
-            step = None
+            pass
         if step is None:
-            step = -g / max(gnorm, 1e-300)
+            step = -g / max(float(np.linalg.norm(g)), 1e-300)
+        slope = float(g @ step)  # -lambda^2 for a Newton step
+        # below the loss's round-off, take the full step and stop
+        last = -slope <= DECREMENT_ROUNDOFF * max(1.0, abs(loss))
 
         # backtracking line search (Armijo)
-        eta, accepted = 1.0, False
-        slope = float(g @ step)
+        eta = 1.0
         for _ in range(60):
             cand = theta + eta * step
-            cand_loss = f(cand)
-            if cand_loss <= loss + 1e-4 * eta * slope:
-                theta, loss = cand, cand_loss
-                accepted = True
+            cand_u = X @ cand
+            cand_loss = loss_at(cand, cand_u)
+            if last or cand_loss <= loss + 1e-4 * eta * slope:
                 break
             eta *= 0.5
-        if not accepted:
-            # no decrease possible along step: at numerical optimum
-            sep = _fully_separated(spec, theta, dataset, ybar)
-            return FitResult(theta_hat=theta, iterations=it,
-                             final_gradient_norm=gnorm, separable=sep,
-                             converged=not sep and gnorm <= max(opts.grad_tol, 1e-8),
-                             metadata=meta)
+        else:
+            break  # no step decreases the loss
+        theta, u, loss = cand, cand_u, cand_loss
+        g = grad_at(theta, u)
+        iterations += 1
+        if last:
+            break
 
-    gnorm = float(np.linalg.norm(grad(theta)))
-    if np.linalg.norm(theta) > opts.divergence_threshold:
-        return FitResult(theta_hat=theta, iterations=opts.max_iters,
-                         final_gradient_norm=gnorm, separable=True,
-                         converged=False, metadata=meta)
-    if gnorm <= max(opts.grad_tol, 1e-8):
-        # tabulated links have piecewise-constant curvature, so the gradient
-        # can plateau a hair above the Newton tolerance; accept the same
-        # slack as the no-decrease exit
-        sep = _fully_separated(spec, theta, dataset, ybar)
-        return FitResult(theta_hat=theta, iterations=opts.max_iters,
-                         final_gradient_norm=gnorm, separable=sep,
-                         converged=not sep, metadata=meta)
-    raise NonConvergence(
-        f"no convergence in {opts.max_iters} iterations (|grad|={gnorm:.3e})")
+    gnorm = float(np.linalg.norm(g))
+    separable = bool(np.linalg.norm(theta) > opts.divergence_threshold
+                     or (np.linalg.norm(theta) >= 10.0 and kernel.separated(u)))
+    converged = not separable and gnorm <= max(opts.grad_tol, 1e-8)
+    if not (separable or converged):
+        raise NonConvergence(f"no convergence in {iterations} iterations "
+                             f"(|grad|={gnorm:.3e})")
+    return FitResult(theta_hat=theta, iterations=iterations,
+                     final_gradient_norm=gnorm, separable=separable,
+                     converged=converged)

@@ -7,10 +7,11 @@ additionally satisfy sigma(t) + sigma(-t) = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import expit
 
 __all__ = [
     "LinkFamily",
@@ -75,15 +76,6 @@ class LinkSpec:
             object.__setattr__(self, "grid", grid)
             object.__setattr__(self, "values", values)
 
-    def eval(self, t):
-        return link_eval(self, t)
-
-    def derivative(self, t):
-        return link_derivative(self, t)
-
-    def antiderivative(self, t):
-        return link_antiderivative(self, t)
-
 
 def logistic_link() -> LinkSpec:
     return LinkSpec(family=LinkFamily.LOGISTIC)
@@ -117,17 +109,6 @@ def tabulated_link(grid, values, lipschitz=None, symmetric=None) -> LinkSpec:
     )
 
 
-def _sigmoid(t):
-    # numerically stable logistic
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def _softplus(t):
     # log(1 + e^t) without overflow
     t = np.asarray(t, dtype=float)
@@ -139,9 +120,9 @@ def link_eval(link: LinkSpec, t):
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if link.family is LinkFamily.LOGISTIC:
-        out = _sigmoid(t)
+        out = expit(t)
     elif link.family is LinkFamily.SCALED_LOGISTIC:
-        out = _sigmoid(link.alpha * t)
+        out = expit(link.alpha * t)
     else:
         out = np.interp(t, link.grid, link.values)
     return float(out[0]) if scalar else out
@@ -153,10 +134,10 @@ def link_derivative(link: LinkSpec, t):
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if link.family is LinkFamily.LOGISTIC:
-        s = _sigmoid(t)
+        s = expit(t)
         out = s * (1.0 - s)
     elif link.family is LinkFamily.SCALED_LOGISTIC:
-        s = _sigmoid(link.alpha * t)
+        s = expit(link.alpha * t)
         out = link.alpha * s * (1.0 - s)
     else:
         grid, values = link.grid, link.values
@@ -366,7 +347,6 @@ class FitResult:
     final_gradient_norm: float
     separable: bool
     converged: bool = True
-    metadata: dict = field(default_factory=dict)
 
     @property
     def u_hat(self) -> np.ndarray:

@@ -63,7 +63,6 @@ class ExperimentConfig:
     split_fraction: float = 0.1
     isotonic: IsotonicFitOptions = field(default_factory=IsotonicFitOptions)
     solver: SolverOptions = field(default_factory=SolverOptions)
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
@@ -84,7 +83,6 @@ class TrialSummary:
     """
 
     u_hats: np.ndarray
-    theta_hats: np.ndarray
     flags: tuple[str, ...]
     empirical_cov: np.ndarray
     comparison: float | None
@@ -114,7 +112,7 @@ def _model_alpha(model: ModelSpec) -> np.ndarray:
 
 
 def _run_trial(config: ExperimentConfig, trial: int):
-    """One seeded trial; returns (theta_hat, u_hat, flag, n_eff)."""
+    """One seeded trial; returns (u_hat, flag, n_eff)."""
     model = config.model
     ds = sample_dataset(model, config.n, config.seed, trial)
     try:
@@ -132,7 +130,7 @@ def _run_trial(config: ExperimentConfig, trial: int):
             sp = semiparametric_fit(ds, config.split_fraction,
                                     config.isotonic, config.solver)
             if any(sp.diagnostics.degenerate):
-                return None, None, "degenerate-labeler", 0
+                return None, "degenerate-labeler", 0
             res = sp.fit
             n_eff = sp.stage2_index.size
         else:  # crowd
@@ -140,15 +138,15 @@ def _run_trial(config: ExperimentConfig, trial: int):
             est = estimate_alpha(
                 MultiLabelDataset(X=ds.X[:n1], Y=ds.Y[:n1]), model.u_star)
             if np.any(est.separable) or np.any(est.below_floor):
-                return None, None, "alpha-degenerate", 0
+                return None, "alpha-degenerate", 0
             rest = MultiLabelDataset(X=ds.X[n1:], Y=ds.Y[n1:])
             res = crowdsourced_fit(rest, est.alpha, config.solver)
             n_eff = config.n - n1
     except NonConvergence:
-        return None, None, "non-convergence", 0
+        return None, "non-convergence", 0
     if res.separable:
-        return None, None, "separable", 0
-    return res.theta_hat, res.u_hat, "", n_eff
+        return None, "separable", 0
+    return res.u_hat, "", n_eff
 
 
 def _theory_for(config: ExperimentConfig,
@@ -171,15 +169,13 @@ def run_experiment(config: ExperimentConfig,
     model = config.model
     d = model.d
     u_star = model.u_star
-    theta_rows = np.full((config.trials, d), np.nan)
     u_rows = np.full((config.trials, d), np.nan)
     flags = []
     n_eff = 0
     for trial in range(config.trials):
-        theta_hat, u_hat, flag, trial_n = _run_trial(config, trial)
+        u_hat, flag, trial_n = _run_trial(config, trial)
         flags.append(flag)
         if flag == "":
-            theta_rows[trial] = theta_hat
             u_rows[trial] = u_hat
             n_eff = trial_n
     included = [i for i, flag in enumerate(flags) if flag == ""]
@@ -201,8 +197,7 @@ def run_experiment(config: ExperimentConfig,
         diff = p_perp @ (emp_cov - theory.covariance) @ p_perp
         ref = p_perp @ theory.covariance @ p_perp
         comparison = float(np.linalg.norm(diff) / np.linalg.norm(ref))
-    return TrialSummary(u_hats=u_rows, theta_hats=theta_rows,
-                        flags=tuple(flags), empirical_cov=emp_cov,
+    return TrialSummary(u_hats=u_rows, flags=tuple(flags), empirical_cov=emp_cov,
                         comparison=comparison, excluded_count=excluded,
                         included_count=len(included), n_effective=n_eff,
                         theory=theory)

@@ -124,6 +124,20 @@ def test_fit_recovers_direction():
     assert np.linalg.norm(res.theta_hat) == pytest.approx(1.5, abs=0.1)
 
 
+def test_fit_does_not_stall_at_loss_roundoff():
+    # On this draw the last Newton steps decrease the loss by less than its
+    # round-off, so an Armijo search alone accepts near-zero steps without
+    # ever reaching grad_tol; the decrement rule takes the full step instead.
+    lr = logistic_link()
+    model = ModelSpec(theta_star=np.array([2.0, 0.0, 0.0, 0.0, 0.0]),
+                      links=(lr,) * 16, covariates=isotropic_gaussian(5))
+    ds = sample_dataset(model, 20_000, seed=0, trial=15)
+    res = fit(LossSpec(mode=LossMode.MULTI_LABEL), ds)
+    assert res.converged and not res.separable
+    assert res.iterations <= 30
+    assert res.final_gradient_norm <= 1e-10
+
+
 def test_fit_gradient_is_stationary_all_modes():
     lr = logistic_link()
     model = ModelSpec(theta_star=np.array([1.0, 0.5]), links=(lr,) * 3,
