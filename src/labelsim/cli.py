@@ -143,8 +143,8 @@ def _build_model(cfg: dict) -> ModelSpec:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, float):  # numpy float64 too, whose repr names the type
+        return repr(float(x))
     return str(x)
 
 

@@ -2,17 +2,22 @@
 
 Stage 1 fits an initial direction by multi-label logistic ERM on a held-out
 split and estimates each labeler's link by constrained least squares
-(nondecreasing, Lipschitz, sigma(0) = 1/2, optionally symmetric). Stage 2
-refits the parameter on the remaining data with the per-labeler link loss.
+(nondecreasing, Lipschitz, sigma(0) = 1/2, optionally symmetric). Written in
+the increments outward from the centre knot, each bounded to [0, L * delta],
+that is a bounded-variable least-squares problem, solved exactly by one BVLS
+solve per link (two when the link is not symmetric);
+`LinkFitDiagnostics.iterations` holds the BVLS iteration count per labeler,
+summed over both solves when there are two. Stage 2 refits the parameter on
+the remaining data with the per-labeler link loss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import LossMode, LossSpec, SolverOptions, fit
+from .estimators import LossMode, LossSpec, NonConvergence, SolverOptions, fit
 from .links import FitResult, LinkSpec, MultiLabelDataset, link_eval, tabulated_link
 
 __all__ = [
@@ -70,88 +75,19 @@ class AlphaEstimate:
     below_floor: np.ndarray
 
 
-def _weighted_pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted least-squares projection onto nondecreasing sequences.
+def _bvls_increments(w: np.ndarray, target: np.ndarray,
+                     step: float) -> tuple[np.ndarray, int]:
+    """Exact minimizer of sum_i w_i (sum_{j<=i} d_j - target_i)^2 over
+    increments d in [0, step]; returns the cumulative sums and iterations."""
+    from scipy.optimize import lsq_linear
 
-    Empty-bin entries get a vanishing positive weight so they follow the
-    pooled neighbors without influencing them.
-    """
-    from scipy.optimize import isotonic_regression
-
-    return isotonic_regression(y, weights=np.maximum(w, 1e-12)).x
-
-
-def _project_lipschitz_upper(v: np.ndarray, w: np.ndarray, step: float) -> np.ndarray:
-    # {v_{k+1} - v_k <= step} == {v_k - k*step nonincreasing}; project by
-    # antitonic regression, i.e. isotonic regression of the reversed sequence
-    shift = step * np.arange(v.size)
-    u = v - shift
-    proj = _weighted_pava(u[::-1], w[::-1])[::-1]
-    return proj + shift
-
-
-def _project_symmetry(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # weighted projection onto {v_k + v_{K-1-k} = 1} on a mirrored grid
-    rv, rw = v[::-1], w[::-1]
-    tw = w + rw
-    safe = np.where(tw > 0, tw, 1.0)
-    out = (w * v + rw * (1.0 - rv)) / safe
-    out[tw == 0] = 0.5 * (v[tw == 0] + 1.0 - rv[tw == 0])
-    return out
-
-
-def _project_constraints(target: np.ndarray, w: np.ndarray, step: float,
-                         center: int, symmetric: bool,
-                         tol: float = 1e-8, max_iters: int = 500):
-    """Dykstra alternating projections onto the intersection of the monotone
-    cone, the Lipschitz band, the half-at-zero pin, the symmetry subspace,
-    and the [0, 1] box, all in the weighted inner product."""
-
-    def pin_center(v):
-        out = v.copy()
-        out[center] = 0.5
-        return out
-
-    projections = [
-        lambda v: _weighted_pava(v, w),
-        lambda v: _project_lipschitz_upper(v, w, step),
-        pin_center,
-        lambda v: np.clip(v, 0.0, 1.0),
-    ]
-    if symmetric:
-        projections.insert(2, lambda v: _project_symmetry(v, w))
-
-    x = target.copy()
-    increments = [np.zeros_like(x) for _ in projections]
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        x_prev = x.copy()
-        for idx, proj in enumerate(projections):
-            y = x + increments[idx]
-            x = proj(y)
-            increments[idx] = y - x
-        if np.max(np.abs(x - x_prev)) < tol:
-            break
-    return x, iters
-
-
-def _finalize_feasible(v: np.ndarray, center: int, step: float,
-                       symmetric: bool) -> np.ndarray:
-    """Snap a numerically converged iterate to exact feasibility."""
-    v = v.copy()
-    if symmetric:
-        v = 0.5 * (v + 1.0 - v[::-1])
-    v[center] = 0.5
-    inc = np.clip(np.diff(v[center:]), 0.0, step)
-    right = 0.5 + np.concatenate([[0.0], np.cumsum(inc)])
-    right = np.minimum(right, 1.0)
-    if symmetric:
-        left = 1.0 - right[::-1]
-    else:
-        inc_l = np.clip(np.diff(v[:center + 1]), 0.0, step)
-        left = 0.5 - np.concatenate([[0.0], np.cumsum(inc_l[::-1])])[::-1]
-        left = np.maximum(left, 0.0)
-    return np.concatenate([left[:-1], right])
+    sw = np.sqrt(w / w.sum())  # normalized, so the solver's tol is relative
+    cumsum = np.tril(np.ones((w.size, w.size)))
+    res = lsq_linear(sw[:, None] * cumsum, sw * target, bounds=(0.0, step),
+                     method="bvls")
+    if not res.success:
+        raise NonConvergence(f"link fit stopped after {res.nit} iterations")
+    return np.cumsum(res.x), res.nit
 
 
 def _fit_single_link(margins: np.ndarray, y01: np.ndarray,
@@ -163,17 +99,34 @@ def _fit_single_link(margins: np.ndarray, y01: np.ndarray,
     grid = np.linspace(-half, half, size)
     delta = grid[1] - grid[0]
     center = size // 2
+    step = opts.lipschitz * delta
 
     idx = np.clip(np.rint((margins + half) / delta).astype(int), 0, size - 1)
     counts = np.bincount(idx, minlength=size).astype(float)
     sums = np.bincount(idx, weights=y01, minlength=size)
     target = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.5)
+    # empty bins get a vanishing weight, so their knots follow the fitted
+    # neighbours and every increment is unique
+    w = np.maximum(counts, 1e-12)
 
-    projected, iters = _project_constraints(
-        target, counts, opts.lipschitz * delta, center, opts.enforce_symmetry)
-    values = _finalize_feasible(projected, center, opts.lipschitz * delta,
-                                opts.enforce_symmetry)
-    link = tabulated_link(grid, values, lipschitz=opts.lipschitz,
+    # values are 1/2 at the centre knot plus cumulative increments outward;
+    # the [0, 1] box needs no constraint, since the targets lie in it and
+    # clipping a monotone Lipschitz fit to it never raises the residual
+    w_r, t_r = w[center + 1:], target[center + 1:]
+    w_l, t_l = w[center - 1::-1], target[center - 1::-1]
+    if opts.enforce_symmetry:
+        # sigma(-z) = 1 - sigma(z) folds each mirrored pair into one target
+        w_f = w_r + w_l
+        t_f = (w_r * t_r + w_l * (1.0 - t_l)) / w_f
+        rise, iters = _bvls_increments(w_f, t_f - 0.5, step)
+        fall = rise
+    else:
+        rise, it_r = _bvls_increments(w_r, t_r - 0.5, step)
+        fall, it_l = _bvls_increments(w_l, 0.5 - t_l, step)
+        iters = it_r + it_l
+    values = np.concatenate([0.5 - fall[::-1], [0.5], 0.5 + rise])
+    link = tabulated_link(grid, np.clip(values, 0.0, 1.0),
+                          lipschitz=opts.lipschitz,
                           symmetric=opts.enforce_symmetry)
     return link, iters
 

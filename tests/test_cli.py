@@ -121,6 +121,19 @@ def test_theory_majority_m1_equals_well_specified(tmp_path):
     assert multiplier(out_mv) == pytest.approx(multiplier(out_ws), abs=1e-9)
 
 
+def test_theory_semiparam_row_is_plain_numbers(tmp_path):
+    out = str(tmp_path / "sp.csv")
+    assert main(["theory", "--kind", "semiparam", "--m", "3",
+                 "--output", out]) == 0
+    data = [line for line in open(out).read().splitlines()
+            if not line.startswith("#")]
+    assert data[0] == "kind,m,t_star,t_m,multiplier"
+    kind, *numbers = data[1].split(",")
+    assert kind == "semiparametric"
+    for field in numbers:
+        float(field)  # a numpy scalar repr such as np.float64(...) fails here
+
+
 def test_theory_beta_validation(capsys):
     assert main(["theory", "--kind", "well-specified",
                  "--covariates", "beta-regular", "--beta", "-2"]) == 2

@@ -144,6 +144,55 @@ def test_binned_fit_matches_qp_oracle():
     assert objective(vals) <= objective(full(res.x)) + 1e-6
 
 
+def _increment_kkt_residual(link, margins, y01, opts):
+    """Largest KKT violation of the binned least-squares link fit, written in
+    increments outward from the centre knot, each in [0, L * delta]; the
+    gradient is divided by the total weight."""
+    grid = np.asarray(link.grid)
+    vals = np.asarray(link.values)
+    delta = grid[1] - grid[0]
+    idx = np.clip(np.rint((margins - grid[0]) / delta).astype(int),
+                  0, grid.size - 1)
+    counts = np.bincount(idx, minlength=grid.size).astype(float)
+    sums = np.bincount(idx, weights=y01, minlength=grid.size)
+    target = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.5)
+    resid = counts * (vals - target) / counts.sum()
+
+    center = grid.size // 2
+    # increment j moves every knot j or more steps out from the centre: up on
+    # the right, down on the left; symmetry ties the two sides' increments
+    g_r = np.cumsum(resid[:center:-1])[::-1]
+    g_l = -np.cumsum(resid[:center])[::-1]
+    inc_r = np.diff(vals[center:])
+    inc_l = -np.diff(vals[center::-1])
+    if opts.enforce_symmetry:
+        pairs = [(g_r + g_l, inc_r)]
+    else:
+        pairs = [(g_r, inc_r), (g_l, inc_l)]
+    step = opts.lipschitz * delta
+    worst = 0.0
+    for g, inc in pairs:
+        at_lo = inc <= 1e-12
+        at_hi = inc >= step - 1e-12
+        viol = np.where(at_lo, np.maximum(-g, 0.0),
+                        np.where(at_hi, np.maximum(g, 0.0), np.abs(g)))
+        worst = max(worst, float(viol.max()))
+    return worst
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_production_grid_fit_meets_kkt(symmetric):
+    # at the 513-knot grid the fit is the exact constrained least-squares
+    # optimum, not an iterate stopped short of it
+    model, ds = _logistic_dataset(4000, 1, seed=5)
+    opts = IsotonicFitOptions(enforce_symmetry=symmetric)
+    link, = fit_links(model.u_star, ds, opts)
+    assert link.grid.size == 513
+    _assert_feasible(link, opts)
+    y01 = (ds.Y[:, 0] + 1.0) / 2.0
+    assert _increment_kkt_residual(link, ds.X @ model.u_star, y01, opts) <= 1e-9
+
+
 def test_semiparametric_fit_recovers_direction_and_links():
     model, ds = _logistic_dataset(20_000, 3, seed=6)
     out = semiparametric_fit(ds, split_fraction=0.1)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from labelsim import theory
+
 from labelsim import (
     BracketNotFound,
     ExpectationMethod,
@@ -135,6 +137,29 @@ def test_rho_m_even_m_tie_term():
     p = link_eval(LR, 0.8)
     expected = p * p + 0.5 * 2 * p * (1 - p)
     assert rho_m(0.8, 2, links) == pytest.approx(expected, abs=1e-14)
+
+
+def test_majority_with_tabulated_links(monkeypatch):
+    grid = np.array([-1.0, 0.0, 1.0])
+    a = tabulated_link(grid, [0.2, 0.5, 0.8])  # 0.59 at t = 0.3
+    b = tabulated_link(grid, [0.1, 0.5, 0.9])  # 0.62 at t = 0.3
+    pa, pb = 0.59, 0.62
+    # distinct links: Poisson-binomial, at least two of three votes are +1
+    expected = pa * (1 - (1 - pb) ** 2) + (1 - pa) * pb ** 2
+    assert theory.majority_plus_prob(0.3, 3, [a, b, b]) == pytest.approx(
+        expected, abs=1e-14)
+    # both links are symmetric, so rho_m is even in t
+    assert rho_m(-0.3, 3, [a, b, b]) == pytest.approx(expected, abs=1e-14)
+
+    # equal copies are one link, so the binomial path answers
+    def no_poisson_binomial(probs):
+        raise AssertionError("equal links took the Poisson-binomial path")
+
+    monkeypatch.setattr(theory, "_poisson_binomial_majority",
+                        no_poisson_binomial)
+    copy = tabulated_link(grid.copy(), [0.2, 0.5, 0.8])
+    assert theory.majority_plus_prob(0.3, 3, [a, copy, a]) == pytest.approx(
+        3 * pa ** 2 * (1 - pa) + pa ** 3, abs=1e-14)
 
 
 # ---------------------------- binomial transform ---------------------------
