@@ -20,7 +20,6 @@ from .links import (
     tabulated_link,
 )
 from .datagen import (
-    majority_vote,
     majority_vote_matrix,
     sample_covariates,
     sample_dataset,
@@ -42,7 +41,6 @@ from .estimators import (
 from .theory import (
     BracketNotFound,
     DivergentIntegral,
-    ExpectationMethod,
     GapFunction,
     GapMode,
     NotOrthogonal,

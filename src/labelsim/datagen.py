@@ -15,6 +15,7 @@ from .links import (
     CovariateKind,
     ModelSpec,
     MultiLabelDataset,
+    group_links,
     link_eval,
 )
 
@@ -23,7 +24,6 @@ __all__ = [
     "sample_covariates",
     "sample_labels",
     "sample_dataset",
-    "majority_vote",
     "majority_vote_matrix",
 ]
 
@@ -58,9 +58,11 @@ def sample_labels(model: ModelSpec, X: np.ndarray, seed, trial: int = 0) -> np.n
     n, m = X.shape[0], model.m
     Y = np.empty((n, m), dtype=np.int8)
     uniforms = rng.random((n, m))
-    for j, link in enumerate(model.links):
-        p = link_eval(link, margins)
-        Y[:, j] = np.where(uniforms[:, j] < p, 1, -1)
+    # labelers with equal links share one evaluation of the link
+    distinct, index = group_links(model.links)
+    probs = [link_eval(link, margins) for link in distinct]
+    for j, g in enumerate(index):
+        Y[:, j] = np.where(uniforms[:, j] < probs[g], 1, -1)
     return Y
 
 
@@ -68,16 +70,6 @@ def sample_dataset(model: ModelSpec, n: int, seed: int, trial: int = 0) -> Multi
     X = sample_covariates(model.covariates, n, seed, trial)
     Y = sample_labels(model, X, seed, trial)
     return MultiLabelDataset(X=X, Y=Y)
-
-
-def majority_vote(y_row, seed, trial: int = 0) -> int:
-    """Sign of the label sum, with exact ties broken by a seeded fair coin."""
-    y_row = np.asarray(y_row)
-    s = int(y_row.sum())
-    if s != 0:
-        return 1 if s > 0 else -1
-    rng = seed if isinstance(seed, np.random.Generator) else stream_rng(seed, trial, "tiebreak")
-    return 1 if rng.random() < 0.5 else -1
 
 
 def majority_vote_matrix(Y: np.ndarray, seed, trial: int = 0) -> np.ndarray:

@@ -109,6 +109,33 @@ def tabulated_link(grid, values, lipschitz=None, symmetric=None) -> LinkSpec:
     )
 
 
+def same_link(a: LinkSpec, b: LinkSpec) -> bool:
+    """Whether two links are the same function (tabulated links by value)."""
+    tabulated = LinkFamily.TABULATED_MONOTONE
+    if a.family is tabulated and b.family is tabulated:
+        # the dataclass __eq__ cannot compare the knot arrays
+        return ((a.lipschitz, a.symmetric) == (b.lipschitz, b.symmetric)
+                and np.array_equal(a.grid, b.grid)
+                and np.array_equal(a.values, b.values))
+    return a == b
+
+
+def group_links(links) -> tuple[list[LinkSpec], np.ndarray]:
+    """Distinct links in order of first appearance, and each link's index
+    into that list."""
+    distinct: list[LinkSpec] = []
+    index = np.empty(len(links), dtype=np.intp)
+    for j, link in enumerate(links):
+        for g, seen in enumerate(distinct):
+            if same_link(link, seen):
+                index[j] = g
+                break
+        else:
+            index[j] = len(distinct)
+            distinct.append(link)
+    return distinct, index
+
+
 def _softplus(t):
     # log(1 + e^t) without overflow
     t = np.asarray(t, dtype=float)
@@ -363,12 +390,21 @@ class TheoryPrediction:
     ``covariance`` is the full d x d limit covariance of sqrt(n)(u_hat - u*):
     variance_multiplier times the pseudo-inverse of the projected covariate
     covariance. It annihilates u* by construction.
+
+    ``t_m_error`` and ``multiplier_error`` are absolute error estimates: the
+    change between the same quadrature panels at two orders, plus rounding
+    and, for t_m, the root finder's tolerance. ``root_iterations`` counts
+    the bracket expansions and Brent iterations of the t_m solve (0 for
+    kinds whose t_m is t* by definition).
     """
 
     kind: str
     t_m: float
     variance_multiplier: float
     covariance: np.ndarray
+    t_m_error: float = 0.0
+    multiplier_error: float = 0.0
+    root_iterations: int = 0
 
     def __post_init__(self):
         cov = np.asarray(self.covariance, dtype=float)

@@ -5,16 +5,26 @@ link construction that makes two (link, norm, labeler-count) configurations
 observationally equivalent, calibration gap functions and their roots t_m,
 asymptotic covariance multipliers for each estimator, and the large-m limit
 constants a and b.
+
+Every integral is one fixed panel rule (ZExpectationEngine, and
+_halfline_integral for plain half-line integrals): Gauss-Legendre panels on
+a doubling ladder that starts below the smallest feature width of the
+integrands, split at the kinks of tabulated links, with a Gauss-Jacobi
+first panel for the z^(beta-1) factor of the |Z| density. An integrand is
+called once, on the whole node array. The same panels at half the order
+give every prediction its error estimate.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import integrate, optimize, stats
+from scipy import optimize, special, stats
 
 from .links import (
     CovariateDistribution,
@@ -23,6 +33,7 @@ from .links import (
     LinkSpec,
     ModelSpec,
     TheoryPrediction,
+    group_links,
     link_derivative,
     link_eval,
     logistic_link,
@@ -33,7 +44,6 @@ __all__ = [
     "BracketNotFound",
     "DivergentIntegral",
     "NotOrthogonal",
-    "ExpectationMethod",
     "ZExpectationEngine",
     "GapMode",
     "GapFunction",
@@ -51,6 +61,17 @@ __all__ = [
     "largem_rho_limit_check",
 ]
 
+ORDER = 24             # Gauss points per panel; the error estimate uses ORDER // 2
+LADDER_START = 0.125   # first breakpoint, as a fraction of the feature width
+TAIL_MASS = 1e-25      # mass of |Z| beyond the last breakpoint
+HALFLINE_EXTENT = 80.0  # half-line integrals first stop at this many decay scales
+HALFLINE_DOUBLINGS = 40  # and double that stop at most this many times
+TAIL_SHARE = 1e-10     # largest share of a half-line integral its last panel may hold
+ROOT_XTOL = 1e-12
+ROOT_RTOL = 4 * np.finfo(float).eps
+ROUNDOFF = 1e-12       # relative floor of the error estimates (round-off in
+                       # the node sums, the links and the binomial tails)
+
 
 class BracketNotFound(RuntimeError):
     pass
@@ -65,66 +86,130 @@ class NotOrthogonal(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# expectations over the signed margin Z
+# the panel rule
 
 
-class ExpectationMethod(Enum):
-    GAUSS_HERMITE = "gauss-hermite"
-    ADAPTIVE_QUADRATURE = "adaptive-quadrature"
-    MONTE_CARLO = "monte-carlo"
+@lru_cache(maxsize=None)
+def _jacobi_rule(order: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on [-1, 1] for the weight (1 + x)^exponent."""
+    if exponent == 0.0:
+        return np.polynomial.legendre.leggauss(order)
+    return special.roots_jacobi(order, 0.0, exponent)
+
+
+def _ladder(width: float, top: float, kinks=()) -> np.ndarray:
+    """Panel breakpoints on (0, top]: a doubling ladder from LADDER_START *
+    width, split at the kinks that fall inside."""
+    start = LADDER_START * width
+    steps = start * 2.0 ** np.arange(max(math.ceil(math.log2(top / start)), 0))
+    kinks = np.asarray(kinks, dtype=float)
+    breaks = np.unique(np.concatenate(
+        [steps[steps < top], kinks[(kinks > 0) & (kinks < top)], [top]]))
+    # a kink within round-off of a ladder step would only add a sliver panel
+    return breaks[np.diff(breaks, prepend=0.0) > 1e-12 * breaks]
+
+
+def _panel_rule(breaks: np.ndarray, exponent: float,
+                order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z and weights w with w @ g(z) ~ int_0^breaks[-1] z^exponent g(z) dz.
+
+    Gauss-Jacobi on [0, breaks[0]] integrates the z^exponent factor exactly;
+    the other panels are Gauss-Legendre with z^exponent folded into w.
+    """
+    x, w = _jacobi_rule(order, exponent)
+    half = 0.5 * breaks[0]
+    z0, w0 = half * (1.0 + x), w * half ** (exponent + 1.0)
+    x, w = _jacobi_rule(order, 0.0)
+    lo, half = breaks[:-1, None], 0.5 * np.diff(breaks)[:, None]
+    z1 = (lo + half * (1.0 + x)).ravel()
+    w1 = (half * w).ravel() * z1 ** exponent
+    return np.concatenate([z0, z1]), np.concatenate([w0, w1])
+
+
+def _z_cutoff(dist: CovariateDistribution) -> float:
+    """The point beyond which |Z| has mass TAIL_MASS."""
+    if dist.kind is CovariateKind.ISOTROPIC_GAUSSIAN:
+        return math.sqrt(2.0) * float(special.erfcinv(TAIL_MASS))
+    return float(special.gammainccinv(dist.beta, TAIL_MASS))
 
 
 @dataclass(frozen=True)
 class ZExpectationEngine:
     """Computes E[f(Z)] for the signed margin Z of a covariate distribution.
 
-    Gauss-Hermite applies only to Gaussian Z; adaptive quadrature integrates
-    the even part of f against the density of |Z| on (0, inf); Monte Carlo
-    reuses the same draws on every call (one seed) so ratios of expectations
-    stay internally consistent.
+    E[f(Z)] = int_0^inf (f(z) + f(-z)) / 2 p(z) dz, with p the density of
+    |Z|, by one fixed panel rule: a doubling ladder of panels from width/8
+    to the point beyond which |Z| has mass 1e-25, split at ``kinks`` (points
+    of |z| where an integrand is not smooth), ``order`` Gauss points per
+    panel and a Gauss-Jacobi first panel for the z^(beta-1) factor of p.
+    ``nodes`` holds +z and -z and ``weights`` the matching halves, so
+    expect(f) = weights @ f(nodes) calls f once, on the whole node array.
     """
 
     dist: CovariateDistribution
-    method: ExpectationMethod = ExpectationMethod.ADAPTIVE_QUADRATURE
-    order: int = 80
-    rel_tol: float = 1e-9
-    mc_n: int = 100_000
-    mc_seed: int = 0
+    width: float = 1.0
+    kinks: tuple[float, ...] = ()
+    order: int = ORDER
 
     def __post_init__(self):
-        if (self.method is ExpectationMethod.GAUSS_HERMITE
-                and self.dist.kind is not CovariateKind.ISOTROPIC_GAUSSIAN):
-            raise ValueError("Gauss-Hermite requires Gaussian margins")
+        if not self.width > 0 or self.order < 1:
+            raise ValueError("need width > 0 and order >= 1")
+
+    def resolve(self, width: float, kinks=()) -> ZExpectationEngine:
+        """This rule with its panels also resolving the given feature width
+        and kinks."""
+        kinks = tuple(sorted(set(self.kinks).union(float(k) for k in kinks)))
+        return dataclasses.replace(self, width=min(self.width, width), kinks=kinks)
+
+    def coarse(self) -> ZExpectationEngine:
+        """The same panels at half the order: the lower level of the error
+        estimate."""
+        return dataclasses.replace(self, order=max(self.order // 2, 1))
+
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
+        dist = self.dist
+        exponent = dist.noise_exponent - 1.0
+        breaks = _ladder(self.width, _z_cutoff(dist), self.kinks)
+        z, w = _panel_rule(breaks, exponent, self.order)
+        # the rule carries z^exponent; p(z) / z^exponent is smooth at 0
+        w = w * dist.z_abs_density(z) / z ** exponent
+        return np.concatenate([z, -z]), 0.5 * np.concatenate([w, w])
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self._rule[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._rule[1]
 
     def expect(self, f) -> float:
-        """E[f(Z)]; f must accept scalars (quadrature) or arrays (others)."""
-        if self.method is ExpectationMethod.GAUSS_HERMITE:
-            x, w = np.polynomial.hermite.hermgauss(self.order)
-            return float(np.sum(w * f(np.sqrt(2.0) * x)) / np.sqrt(np.pi))
-        if self.method is ExpectationMethod.MONTE_CARLO:
-            z = self._draws()
-            return float(np.mean(f(z)))
-        p = self.dist.z_abs_density
-
-        def even_part(z):
-            return 0.5 * (f(z) + f(-z)) * p(z)
-
-        a, _ = integrate.quad(even_part, 0.0, 1.0,
-                              epsrel=self.rel_tol, epsabs=1e-13, limit=200)
-        b, _ = integrate.quad(even_part, 1.0, np.inf,
-                              epsrel=self.rel_tol, epsabs=1e-13, limit=200)
-        return a + b
-
-    def _draws(self) -> np.ndarray:
-        rng = np.random.default_rng(self.mc_seed)
-        if self.dist.kind is CovariateKind.ISOTROPIC_GAUSSIAN:
-            return rng.standard_normal(self.mc_n)
-        mag = rng.gamma(self.dist.beta, 1.0, size=self.mc_n)
-        return mag * rng.choice([-1.0, 1.0], size=self.mc_n)
+        """E[f(Z)]; f is called once, on the whole node array."""
+        return float(self.weights @ f(self.nodes))
 
 
-def _default_engine(dist: CovariateDistribution) -> ZExpectationEngine:
-    return ZExpectationEngine(dist=dist)
+def _link_width(link: LinkSpec) -> float:
+    """Margin scale over which a link changes; a tabulated link's
+    structure is resolved by its kinks instead."""
+    if link.family is LinkFamily.SCALED_LOGISTIC:
+        return 1.0 / link.alpha
+    return 1.0
+
+
+def _link_kinks(links, scale: float) -> tuple[float, ...]:
+    """|knots| / scale of the tabulated links: where sigma(scale z) has kinks."""
+    return tuple(float(abs(x)) / scale for link in links
+                 if link.family is LinkFamily.TABULATED_MONOTONE
+                 for x in link.grid)
+
+
+def _resolve_for_links(engine: ZExpectationEngine, links, scale: float,
+                       divisor: float = 1.0) -> ZExpectationEngine:
+    """Engine whose panels resolve sigma(scale z) for every given link, with
+    the feature width further divided by ``divisor``."""
+    width = min(_link_width(link) for link in links) / (scale * divisor)
+    return engine.resolve(width, _link_kinks(links, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -140,59 +225,66 @@ def _as_links(true_links, m: int) -> list[LinkSpec]:
     return links
 
 
-def _same_link(a: LinkSpec, b: LinkSpec) -> bool:
-    tabulated = LinkFamily.TABULATED_MONOTONE
-    if a.family is tabulated and b.family is tabulated:
-        # the dataclass __eq__ cannot compare the knot arrays
-        return ((a.lipschitz, a.symmetric) == (b.lipschitz, b.symmetric)
-                and np.array_equal(a.grid, b.grid)
-                and np.array_equal(a.values, b.values))
-    return a == b
+def _link_probs(links, s) -> tuple[np.ndarray, np.ndarray]:
+    """P(label +1 | margin s) of each distinct link (groups x points), and
+    the number of labelers sharing each."""
+    distinct, index = group_links(links)
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    probs = np.array([link_eval(link, s) for link in distinct])
+    return probs, np.bincount(index)
 
 
-def _identical_links(links) -> bool:
-    return all(link is links[0] or _same_link(link, links[0])
-               for link in links[1:])
-
-
-def _binom_majority(p, m: int):
-    """P(Binomial(m, p) strict majority) + half the tie probability."""
+def _binom_tails(p, m: int):
+    """(P(vote +1), P(vote -1)) of the majority of m i.i.d. votes that are
+    +1 with probability p, exact ties broken by a fair coin. Each tail is
+    computed directly, so neither loses relative accuracy as 1 - other."""
     k = m // 2
     if m % 2 == 1:
-        return stats.binom.sf(k, m, p)
-    return stats.binom.sf(k, m, p) + 0.5 * stats.binom.pmf(k, m, p)
+        return stats.binom.sf(k, m, p), stats.binom.cdf(k, m, p)
+    tie = 0.5 * stats.binom.pmf(k, m, p)
+    return stats.binom.sf(k, m, p) + tie, stats.binom.cdf(k - 1, m, p) + tie
 
 
-def _poisson_binomial_majority(probs: np.ndarray) -> float:
-    """Majority probability for independent nonidentical Bernoullis.
+def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise full convolution of two (points x K) arrays."""
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
+    for j in range(b.shape[1]):
+        out[:, j:j + a.shape[1]] += b[:, j:j + 1] * a
+    return out
 
-    O(m^2) dynamic program over the count distribution; exact up to
-    floating-point rounding, even m handled by the fair-tie half term.
+
+def _poisson_binomial_majority(probs: np.ndarray, counts: np.ndarray):
+    """Majority tails, as _binom_tails, for independent groups of votes:
+    counts[g] votes that are +1 with probability probs[g] (groups x points).
+
+    The vote-count distribution (points x (m + 1)) is the convolution of one
+    binomial per group, vectorized over the points; exact up to rounding.
     """
-    m = probs.size
-    dp = np.zeros(m + 1)
-    dp[0] = 1.0
-    for p in probs:
-        dp[1:] = dp[1:] * (1.0 - p) + dp[:-1] * p
-        dp[0] *= 1.0 - p
+    dist = np.ones((probs.shape[1], 1))
+    for p, c in zip(probs, counts):
+        dist = _convolve_rows(dist, stats.binom.pmf(np.arange(c + 1), c, p[:, None]))
+    m = dist.shape[1] - 1
     k = m // 2
-    total = float(dp[k + 1:].sum())
-    if m % 2 == 0:
-        total += 0.5 * float(dp[k])
-    return total
+    plus = dist[:, k + 1:].sum(axis=1)
+    if m % 2 == 1:
+        return plus, dist[:, :k + 1].sum(axis=1)
+    tie = 0.5 * dist[:, k]
+    return plus + tie, dist[:, :k].sum(axis=1) + tie
+
+
+def _vote_tails(probs: np.ndarray, counts: np.ndarray):
+    """(P(majority vote +1), P(majority vote -1)) at each point."""
+    if counts.size == 1:
+        return _binom_tails(probs[0], int(counts[0]))
+    return _poisson_binomial_majority(probs, counts)
 
 
 def majority_plus_prob(t, m: int, true_links):
     """P(majority vote = +1 | margin = t) under the given true links."""
-    links = _as_links(true_links, m)
-    if _identical_links(links):
-        return _binom_majority(link_eval(links[0], t), m)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(t_arr)
-    for i, ti in enumerate(t_arr):
-        probs = np.array([link_eval(link, ti) for link in links])
-        out[i] = _poisson_binomial_majority(probs)
-    return float(out[0]) if np.isscalar(t) else out
+    plus, _ = _vote_tails(*_link_probs(_as_links(true_links, m), t))
+    return float(plus[0]) if np.isscalar(t) else plus
 
 
 def rho_m(t, m: int, true_links):
@@ -202,10 +294,10 @@ def rho_m(t, m: int, true_links):
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    plus = majority_plus_prob(t, m, true_links)
-    t_arr = np.asarray(t, dtype=float)
-    out = np.where(t_arr > 0, plus, np.where(t_arr < 0, 1.0 - np.asarray(plus), 0.5))
-    return float(out) if np.isscalar(t) else out
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    plus, minus = _vote_tails(*_link_probs(_as_links(true_links, m), t_arr))
+    out = np.where(t_arr > 0, plus, np.where(t_arr < 0, minus, 0.5))
+    return float(out[0]) if np.isscalar(t) else out
 
 
 def binom_tail_transform(p, m: int):
@@ -213,27 +305,23 @@ def binom_tail_transform(p, m: int):
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < 0) or np.any(p_arr > 1):
         raise ValueError("p must lie in [0, 1]")
-    out = _binom_majority(p_arr, m)
+    out = _binom_tails(p_arr, m)[0]
     return float(out) if np.isscalar(p) else out
 
 
 def inverse_binom_tail_transform(q, m: int):
-    """T_m^{-1}(q) by bracketed root finding on [0, 1] to 1e-12."""
-    scalar = np.isscalar(q)
-    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
+    """T_m^{-1}(q) for all q at once, exact up to rounding.
+
+    With h = ceil(m / 2), T_m(p) = P(Binomial(2h - 1, p) >= h) = I_p(h, h),
+    the regularized incomplete beta function (for even m a tie is a fair
+    coin, so T_m = T_{m-1}); its inverse in p is scipy's betaincinv.
+    """
+    q_arr = np.asarray(q, dtype=float)
     if np.any(q_arr < 0) or np.any(q_arr > 1):
         raise ValueError("q must lie in [0, 1]")
-    out = np.empty_like(q_arr)
-    for i, qi in enumerate(q_arr):
-        if qi <= 0.0:
-            out[i] = 0.0
-        elif qi >= 1.0:
-            out[i] = 1.0
-        else:
-            out[i] = optimize.brentq(
-                lambda p: binom_tail_transform(p, m) - qi, 0.0, 1.0,
-                xtol=1e-12, rtol=8.9e-16)
-    return float(out[0]) if scalar else out
+    h = (m + 1) // 2
+    out = special.betaincinv(h, h, q_arr)
+    return float(out) if np.isscalar(q) else out
 
 
 def construct_matching_link(sigma_star: LinkSpec, theta_star, m: int,
@@ -258,7 +346,7 @@ def construct_matching_link(sigma_star: LinkSpec, theta_star, m: int,
     grid = np.asarray(grid, dtype=float)
     q = binom_tail_transform(link_eval(sigma_star, scale * grid), m)
     values = inverse_binom_tail_transform(q, m_bar)
-    # guard tiny root-finder noise so the tabulated validator accepts
+    # guard rounding noise so the tabulated validator accepts
     values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
     return tabulated_link(grid, values)
 
@@ -280,6 +368,12 @@ class GapFunction:
     multi-label mode, the tie-broken majority probability in majority mode.
     The population minimizer of the corresponding loss is t_m u* with
     h(t_m) = 0; h is strictly increasing.
+
+    The engine's panels are resolved to the width of phi(t* z), about
+    1/(t* sqrt(m)) for majority vote, and phi on its nodes is computed once
+    (it does not depend on t), so each h(t) is one link evaluation and a
+    dot product. The model link needs no width of its own: sigma(t_m z)
+    follows phi(t* z), whatever the scale of sigma, because t_m absorbs it.
     """
 
     mode: GapMode
@@ -292,46 +386,85 @@ class GapFunction:
     def __post_init__(self):
         if self.t_star <= 0:
             raise ValueError("t_star must be positive")
-        links = _as_links(self.true_links, self.m)
-        object.__setattr__(self, "true_links", tuple(links))
+        links = tuple(_as_links(self.true_links, self.m))
+        object.__setattr__(self, "true_links", links)
+        divisor = math.sqrt(self.m) if self.mode is GapMode.MAJORITY_VOTE else 1.0
+        object.__setattr__(self, "engine", _resolve_for_links(
+            self.engine, group_links(links)[0], self.t_star, divisor))
 
     def phi(self, s):
+        probs, counts = _link_probs(self.true_links, s)
         if self.mode is GapMode.MULTI_LABEL:
-            vals = [link_eval(link, s) for link in self.true_links]
-            return np.mean(vals, axis=0)
-        return majority_plus_prob(s, self.m, self.true_links)
+            out = counts @ probs / self.m
+        else:
+            out = _vote_tails(probs, counts)[0]
+        return float(out[0]) if np.isscalar(s) else out
+
+    @cached_property
+    def _group_probs(self) -> tuple[np.ndarray, np.ndarray]:
+        return _link_probs(self.true_links, self.t_star * self.engine.nodes)
+
+    @cached_property
+    def label_probs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(phi, 1 - phi) at t* z on the engine's nodes; in majority mode
+        both vote tails are computed directly."""
+        probs, counts = self._group_probs
+        if self.mode is GapMode.MULTI_LABEL:
+            phi = counts @ probs / self.m
+            return phi, 1.0 - phi
+        return _vote_tails(probs, counts)
+
+    @cached_property
+    def coarse(self) -> GapFunction:
+        """This gap function on the engine's coarse rule."""
+        return dataclasses.replace(self, engine=self.engine.coarse())
+
+    @cached_property
+    def root(self) -> tuple[float, int]:
+        """(t_m, bracket expansions + Brent iterations); see solve_tm."""
+        lo, f_lo = 0.0, gap_eval(self, 0.0)
+        if f_lo >= 0.0:
+            return 0.0, 0
+        hi = max(self.t_star, 1e-3)
+        expansions = 0
+        while gap_eval(self, hi) < 0.0:
+            lo = hi
+            hi *= 2.0
+            expansions += 1
+            if hi > 1e6:
+                raise BracketNotFound(
+                    "gap function stays negative up to the bracket cap 1e6")
+        t_m, result = optimize.brentq(lambda t: gap_eval(self, t), lo, hi,
+                                      xtol=ROOT_XTOL, rtol=ROOT_RTOL,
+                                      full_output=True)
+        if (self.mode is GapMode.MAJORITY_VOTE
+                and t_m < self.t_star * (1.0 - 1e-6)):
+            raise ValueError(
+                f"majority-vote root t_m={t_m:.6g} fell below t*={self.t_star:.6g}")
+        return t_m, expansions + result.iterations
 
 
 def gap_eval(g: GapFunction, t: float) -> float:
+    # phi is cached on the engine's nodes, which expect passes to the integrand
+    plus, minus = g.label_probs
     sigma = g.model_link
+    return g.engine.expect(lambda z: z * (link_eval(sigma, t * z) * minus
+                                          - link_eval(sigma, -t * z) * plus))
 
-    def integrand(z):
-        phi = g.phi(g.t_star * z)
-        return (link_eval(sigma, t * z) * z * (1.0 - phi)
-                - link_eval(sigma, -t * z) * z * phi)
 
-    return g.engine.expect(integrand)
+def _gap_slope(g: GapFunction, t: float) -> float:
+    """h'(t) = E[Z^2 (sigma'(tZ) (1 - phi) + sigma'(-tZ) phi)] > 0."""
+    plus, minus = g.label_probs
+    sigma = g.model_link
+    return g.engine.expect(lambda z: z * z * (link_derivative(sigma, t * z) * minus
+                                              + link_derivative(sigma, -t * z) * plus))
 
 
 def solve_tm(g: GapFunction) -> float:
     """Unique root of the gap function, found by doubling the upper bracket
-    from t* and refining with Brent's method to 1e-10."""
-    lo, f_lo = 0.0, gap_eval(g, 0.0)
-    if f_lo >= 0.0:
-        return 0.0
-    hi = max(g.t_star, 1e-3)
-    while gap_eval(g, hi) < 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e6:
-            raise BracketNotFound(
-                "gap function stays negative up to the bracket cap 1e6")
-    t_m = float(optimize.brentq(lambda t: gap_eval(g, t), lo, hi,
-                                xtol=1e-10, rtol=8.9e-16))
-    if g.mode is GapMode.MAJORITY_VOTE and t_m < g.t_star * (1.0 - 1e-6):
-        raise ValueError(
-            f"majority-vote root t_m={t_m:.6g} fell below t*={g.t_star:.6g}")
-    return t_m
+    from t* and refining with Brent's method to 1e-12. The root and its
+    iteration count are solved once per gap function (``g.root``)."""
+    return g.root[0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +501,71 @@ def _projected_pinv(dist: CovariateDistribution, u_star: np.ndarray) -> np.ndarr
     return _psd_pinv(p_perp @ dist.covariance() @ p_perp)
 
 
+def _multilabel_multiplier(g: GapFunction, t: float) -> float:
+    sigma, m = g.model_link, g.m
+    plus, minus = g.label_probs
+    probs, counts = g._group_probs
+    label_var = counts @ (probs * (1.0 - probs))  # sum_j p_j (1 - p_j)
+
+    def le_sq(z):
+        le = link_eval(sigma, t * z) * minus - link_eval(sigma, -t * z) * plus
+        return le * le
+
+    def he(z):
+        return (link_derivative(sigma, -t * z) * plus
+                + link_derivative(sigma, t * z) * minus)
+
+    def v(z):
+        span = link_eval(sigma, t * z) + link_eval(sigma, -t * z)
+        return label_var * span * span
+
+    e = g.engine.expect
+    return (e(le_sq) + e(v) / m ** 2) / (t ** 2 * e(he) ** 2)
+
+
+def _majority_multiplier(g: GapFunction, t: float) -> float:
+    sigma = g.model_link
+    plus, minus = g.label_probs
+
+    def num(z):
+        return (link_eval(sigma, -t * z) ** 2 * plus
+                + link_eval(sigma, t * z) ** 2 * minus)
+
+    e = g.engine.expect
+    den = e(lambda z: link_derivative(sigma, t * z))
+    return e(num) / (t ** 2 * den ** 2)
+
+
+def _fixed_norm_multiplier(kind: PredictionKind, model: ModelSpec,
+                           engine: ZExpectationEngine, reliabilities) -> float:
+    """Multiplier of the kinds whose norm is t* itself; ``reliabilities`` is
+    (distinct alphas, counts) for crowdsourcing."""
+    t_star, m = model.t_star, model.m
+    if kind is PredictionKind.CROWDSOURCING:
+        alphas, counts = reliabilities
+        lr = logistic_link()
+
+        def info(z):
+            s = link_eval(lr, np.outer(alphas, t_star * z))
+            return counts @ (s * (1.0 - s))
+
+        return 1.0 / (t_star ** 2 * engine.expect(info))
+    distinct, index = group_links(model.links)
+    counts = np.bincount(index)
+    if kind is PredictionKind.WELL_SPECIFIED:
+        distinct, counts = distinct[:1], np.ones(1)
+
+    def label_var(z):
+        p = np.array([link_eval(link, t_star * z) for link in distinct])
+        return counts @ (p * (1.0 - p)) / counts.sum()
+
+    def slope(z):
+        return counts @ np.array([link_derivative(link, t_star * z)
+                                  for link in distinct]) / counts.sum()
+
+    return engine.expect(label_var) / (m * t_star ** 2 * engine.expect(slope) ** 2)
+
+
 def predict_covariance(kind, model: ModelSpec, engine: ZExpectationEngine | None = None,
                        model_link: LinkSpec | None = None,
                        alpha=None) -> TheoryPrediction:
@@ -376,111 +574,89 @@ def predict_covariance(kind, model: ModelSpec, engine: ZExpectationEngine | None
     Returns the scalar variance multiplier and the full matrix
     multiplier * (P_perp Sigma P_perp)^+; the multi-label and majority-vote
     kinds first solve for the population norm t_m of the misspecified fit.
+    Labelers with equal links are one integrand term weighted by their
+    count. The error estimates compare with the coarse rule.
     """
     if isinstance(kind, str):
         kind = PredictionKind(kind)
     if engine is None:
-        engine = _default_engine(model.covariates)
+        engine = ZExpectationEngine(dist=model.covariates)
     if model_link is None:
         model_link = logistic_link()
     t_star, m = model.t_star, model.m
     base = _projected_pinv(model.covariates, model.u_star)
 
-    if kind is PredictionKind.WELL_SPECIFIED:
-        sigma = model.links[0]
-        num = engine.expect(
-            lambda z: link_eval(sigma, t_star * z) * (1.0 - link_eval(sigma, t_star * z)))
-        den = engine.expect(lambda z: link_derivative(sigma, t_star * z))
-        mult = num / (m * t_star ** 2 * den ** 2)
-        return TheoryPrediction(kind=kind.value, t_m=t_star,
-                                variance_multiplier=mult, covariance=mult * base)
-
-    if kind is PredictionKind.MULTI_LABEL_EXACT:
-        g = GapFunction(mode=GapMode.MULTI_LABEL, t_star=t_star, m=m,
-                        model_link=model_link, true_links=model.links, engine=engine)
+    if kind in (PredictionKind.MULTI_LABEL_EXACT, PredictionKind.MAJORITY_VOTE_EXACT):
+        if kind is PredictionKind.MULTI_LABEL_EXACT:
+            mode, multiplier = GapMode.MULTI_LABEL, _multilabel_multiplier
+        else:
+            mode, multiplier = GapMode.MAJORITY_VOTE, _majority_multiplier
+        g = GapFunction(mode=mode, t_star=t_star, m=m, model_link=model_link,
+                        true_links=model.links, engine=engine)
         t_m = solve_tm(g)
-        sigma = model_link
-
-        def phi(z):
-            return g.phi(t_star * z)
-
-        def le_sq(z):
-            le = (link_eval(sigma, t_m * z) * (1.0 - phi(z))
-                  - link_eval(sigma, -t_m * z) * phi(z))
-            return le * le
-
-        def he(z):
-            return (link_derivative(sigma, -t_m * z) * phi(z)
-                    + link_derivative(sigma, t_m * z) * (1.0 - phi(z)))
-
-        e_le2 = engine.expect(le_sq)
-        e_he = engine.expect(he)
-        v_sum = 0.0
-        for link in g.true_links:
-            def v_j(z, link=link):
-                p = link_eval(link, t_star * z)
-                span = link_eval(sigma, t_m * z) + link_eval(sigma, -t_m * z)
-                return p * (1.0 - p) * span * span
-
-            v_sum += engine.expect(v_j)
-        mult = (e_le2 + v_sum / m ** 2) / (t_m ** 2 * e_he ** 2)
-        return TheoryPrediction(kind=kind.value, t_m=t_m,
-                                variance_multiplier=mult, covariance=mult * base)
-
-    if kind is PredictionKind.MAJORITY_VOTE_EXACT:
-        g = GapFunction(mode=GapMode.MAJORITY_VOTE, t_star=t_star, m=m,
-                        model_link=model_link, true_links=model.links, engine=engine)
-        t_m = solve_tm(g)
-        sigma = model_link
-
-        def num_f(z):
-            rho = rho_m(t_star * z, m, g.true_links) if z != 0 else 0.5
-            s_neg = link_eval(sigma, -t_m * abs(z))
-            s_pos = link_eval(sigma, t_m * abs(z))
-            return s_neg * s_neg * rho + s_pos * s_pos * (1.0 - rho)
-
-        num = engine.expect(np.vectorize(num_f, otypes=[float]))
-        den = engine.expect(lambda z: link_derivative(sigma, t_m * z))
-        mult = num / (t_m ** 2 * den ** 2)
-        return TheoryPrediction(kind=kind.value, t_m=t_m,
-                                variance_multiplier=mult, covariance=mult * base)
-
-    if kind is PredictionKind.SEMIPARAMETRIC:
-        nums = [engine.expect(
-            lambda z, link=link: link_eval(link, t_star * z)
-            * (1.0 - link_eval(link, t_star * z))) for link in model.links]
-        dens = [engine.expect(
-            lambda z, link=link: t_star * link_derivative(link, t_star * z))
-            for link in model.links]
-        mult = (np.mean(nums) / np.mean(dens) ** 2) / m
-        return TheoryPrediction(kind=kind.value, t_m=t_star,
-                                variance_multiplier=mult, covariance=mult * base)
-
-    if kind is PredictionKind.CROWDSOURCING:
-        if alpha is None:
-            raise ValueError("Crowdsourcing prediction needs alpha")
-        alpha = np.asarray(alpha, dtype=float)
-        if alpha.size != m or np.any(alpha <= 0):
-            raise ValueError("alpha must be a positive m-vector")
-        lr = logistic_link()
-        total = sum(engine.expect(
-            lambda z, a=a: link_eval(lr, a * t_star * z)
-            * (1.0 - link_eval(lr, a * t_star * z))) for a in alpha)
-        mult = 1.0 / (t_star ** 2 * total)
-        return TheoryPrediction(kind=kind.value, t_m=t_star,
-                                variance_multiplier=mult, covariance=mult * base)
-
-    raise ValueError(f"unknown prediction kind: {kind}")
+        # the coarse rule's root, by one Newton step of its gap function
+        coarse_t_m = t_m - gap_eval(g.coarse, t_m) / _gap_slope(g.coarse, t_m)
+        mult = multiplier(g, t_m)
+        coarse = multiplier(g.coarse, coarse_t_m)
+        t_m_error = abs(t_m - coarse_t_m) + ROOT_XTOL + ROUNDOFF * t_m
+        iterations = g.root[1]
+    elif kind in (PredictionKind.WELL_SPECIFIED, PredictionKind.SEMIPARAMETRIC,
+                  PredictionKind.CROWDSOURCING):
+        reliabilities = None
+        if kind is PredictionKind.CROWDSOURCING:
+            if alpha is None:
+                raise ValueError("Crowdsourcing prediction needs alpha")
+            alpha = np.asarray(alpha, dtype=float)
+            if alpha.size != m or np.any(alpha <= 0):
+                raise ValueError("alpha must be a positive m-vector")
+            reliabilities = np.unique(alpha, return_counts=True)
+            engine = engine.resolve(1.0 / (alpha.max() * t_star))
+        else:
+            engine = _resolve_for_links(engine, group_links(model.links)[0], t_star)
+        mult = _fixed_norm_multiplier(kind, model, engine, reliabilities)
+        coarse = _fixed_norm_multiplier(kind, model, engine.coarse(), reliabilities)
+        t_m, t_m_error, iterations = t_star, 0.0, 0
+    else:
+        raise ValueError(f"unknown prediction kind: {kind}")
+    return TheoryPrediction(kind=kind.value, t_m=t_m, variance_multiplier=mult,
+                            covariance=mult * base, t_m_error=t_m_error,
+                            multiplier_error=abs(mult - coarse) + ROUNDOFF * abs(mult),
+                            root_iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
 # large-m constants and limit lemmas
 
 
-def _halfline_integral(f, rel_tol: float = 1e-9) -> float:
-    a, _ = integrate.quad(f, 0.0, 1.0, epsrel=rel_tol, epsabs=1e-13, limit=200)
-    b, _ = integrate.quad(f, 1.0, np.inf, epsrel=rel_tol, epsabs=1e-13, limit=200)
-    return a + b
+def _halfline_integral(f, exponent: float = 0.0, width: float = 1.0,
+                       extent: float = 1.0, kinks=()) -> float:
+    """int_0^inf z^exponent f(z) dz on the engine's panel rule.
+
+    The ladder runs from width/8 to HALFLINE_EXTENT * extent, where
+    ``extent`` is the integrand's expected decay scale, and its top doubles
+    until the last panel holds at most TAIL_SHARE of the integral; f is
+    called on the whole node array of each try. An integrand that has not
+    decayed after HALFLINE_DOUBLINGS doublings raises DivergentIntegral.
+    """
+    top = HALFLINE_EXTENT * extent
+    for _ in range(HALFLINE_DOUBLINGS + 1):
+        z, w = _panel_rule(_ladder(width, top, kinks), exponent, ORDER)
+        terms = w * f(z)
+        total = float(terms.sum())
+        if not np.isfinite(total):
+            break
+        if np.abs(terms[-ORDER:]).sum() <= TAIL_SHARE * abs(total):
+            return total
+        top *= 2.0
+    raise DivergentIntegral(
+        f"int_0^inf z^{exponent:g} f(z) dz has not converged by z = {z[-1]:.3g}")
+
+
+def _link_extent(link: LinkSpec) -> float:
+    """Margin beyond which a link is constant up to exponentially small terms."""
+    if link.family is LinkFamily.TABULATED_MONOTONE:
+        return float(np.max(np.abs(link.grid)))
+    return _link_width(link)
 
 
 def largem_constants(beta: float, c_z: float, sigma: LinkSpec,
@@ -494,27 +670,28 @@ def largem_constants(beta: float, c_z: float, sigma: LinkSpec,
     """
     if beta <= 0 or avg_slope0 <= 0:
         raise ValueError("need beta > 0 and avg_slope0 > 0")
-    den_check = _halfline_integral(
-        lambda z: z ** (beta - 1.0) * link_derivative(sigma, z))
-    tail = integrate.quad(
-        lambda z: z ** (beta - 1.0) * link_derivative(sigma, z),
-        50.0, np.inf, epsrel=1e-9, epsabs=1e-13, limit=200)[0]
-    if not np.isfinite(den_check) or tail > 1e-3 * abs(den_check) + 1e-8:
-        raise DivergentIntegral("int z^{beta-1} sigma'(z) dz does not converge")
-
     s0 = avg_slope0
-    a_num = _halfline_integral(lambda z: z ** beta * link_eval(sigma, -z))
-    a_den = _halfline_integral(lambda z: z ** beta * stats.norm.cdf(-2.0 * s0 * z))
+    width, extent = _link_width(sigma), _link_extent(sigma)
+    phi_scale = 1.0 / (2.0 * s0)
+    den_check = _halfline_integral(
+        lambda z: link_derivative(sigma, z), beta - 1.0, width, extent,
+        _link_kinks([sigma], 1.0))
+    a_num = _halfline_integral(
+        lambda z: link_eval(sigma, -z), beta, width, extent,
+        _link_kinks([sigma], 1.0))
+    a_den = _halfline_integral(
+        lambda z: special.ndtr(-2.0 * s0 * z), beta, phi_scale, phi_scale)
     a = (a_num / a_den) ** (1.0 / (beta + 1.0))
 
     def b_integrand(z):
         s_neg = link_eval(sigma, -a * z)
         s_pos = link_eval(sigma, a * z)
-        return z ** (beta - 1.0) * (
-            s_neg * s_neg
-            + (s_pos * s_pos - s_neg * s_neg) * stats.norm.cdf(-2.0 * s0 * z))
+        return (s_neg * s_neg
+                + (s_pos * s_pos - s_neg * s_neg) * special.ndtr(-2.0 * s0 * z))
 
-    b_num = c_z * _halfline_integral(b_integrand)
+    b_num = c_z * _halfline_integral(
+        b_integrand, beta - 1.0, min(width / a, phi_scale),
+        max(extent / a, phi_scale), _link_kinks([sigma], a))
     b = a ** (2.0 * beta - 2.0) * b_num / (c_z * den_check) ** 2
     return {"a": float(a), "b": float(b)}
 
@@ -522,13 +699,15 @@ def largem_constants(beta: float, c_z: float, sigma: LinkSpec,
 def largem_tz_limit_check(dist: CovariateDistribution, f, t: float) -> dict:
     """Both sides of lim_{t->inf} t^beta E[f(t|Z|)] = c_Z int z^{beta-1} f(z) dz.
 
-    The left side integrates in the rescaled variable w = t z so the
-    quadrature sees the scale of f rather than the vanishing margin scale.
+    f must accept a numpy array of points (it is called on whole node
+    arrays) and is expected to vary on a unit scale; the right side widens
+    its range until f has decayed. The left side resolves the panels to the
+    margin scale 1/t of f(t|Z|).
     """
     beta, c_z = dist.noise_exponent, dist.c_z
-    p = dist.z_abs_density
-    lhs = t ** (beta - 1.0) * _halfline_integral(lambda w: f(w) * p(w / t))
-    rhs = c_z * _halfline_integral(lambda z: z ** (beta - 1.0) * f(z))
+    engine = ZExpectationEngine(dist=dist, width=1.0 / t)
+    lhs = t ** beta * engine.expect(lambda z: f(t * np.abs(z)))
+    rhs = c_z * _halfline_integral(f, beta - 1.0)
     return {"lhs": float(lhs), "rhs": float(rhs)}
 
 
@@ -538,21 +717,28 @@ def largem_rho_limit_check(dist: CovariateDistribution, f, c: float,
     """Both sides of the majority-tail limit
     lim_m m^{beta/2} E[f(sqrt(m)|Z|)(1 - rho_m(c Z))]
       = c_Z int z^{beta-1} f(z) Phi(-2 s0 c z) dz,
-    with rho_m evaluated exactly at the finite m on the left side.
+    with rho_m evaluated exactly at the finite m on the left side. f must
+    accept a numpy array of points (it is called on whole node arrays).
     """
     links = _as_links(true_links, m)
+    distinct, index = group_links(links)
     if avg_slope0 is None:
-        avg_slope0 = float(np.mean([link_derivative(link, 0.0) for link in links]))
+        avg_slope0 = float(np.bincount(index) @ np.array(
+            [link_derivative(link, 0.0) for link in distinct]) / m)
     beta, c_z = dist.noise_exponent, dist.c_z
-    p = dist.z_abs_density
     root_m = math.sqrt(m)
+    # f(sqrt(m) |z|) and the vote tails at c z both change over ~1/sqrt(m)
+    engine = _resolve_for_links(ZExpectationEngine(dist=dist, width=1.0 / root_m),
+                                distinct, c, root_m)
 
-    def lhs_integrand(w):
-        # substitution w = sqrt(m) z; rho_m is even so use the positive branch
-        return f(w) * (1.0 - rho_m(c * w / root_m, m, links)) * p(w / root_m)
+    def lhs_integrand(z):
+        plus, minus = _vote_tails(*_link_probs(links, c * z))
+        wrong = np.where(z > 0, minus, plus)  # 1 - rho_m(c z)
+        return f(root_m * np.abs(z)) * wrong
 
-    lhs = root_m ** (beta - 1.0) * _halfline_integral(lhs_integrand, rel_tol=1e-8)
+    lhs = root_m ** beta * engine.expect(lhs_integrand)
+    phi_scale = 1.0 / (2.0 * avg_slope0 * c)
     rhs = c_z * _halfline_integral(
-        lambda z: z ** (beta - 1.0) * f(z)
-        * stats.norm.cdf(-2.0 * avg_slope0 * c * z))
+        lambda z: f(z) * special.ndtr(-2.0 * avg_slope0 * c * z), beta - 1.0,
+        min(1.0, phi_scale), max(1.0, phi_scale))
     return {"lhs": float(lhs), "rhs": float(rhs)}

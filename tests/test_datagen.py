@@ -7,13 +7,13 @@ from labelsim import (
     isotropic_gaussian,
     link_eval,
     logistic_link,
-    majority_vote,
     majority_vote_matrix,
     sample_covariates,
     sample_dataset,
     sample_labels,
     scaled_logistic_link,
     stream_rng,
+    tabulated_link,
 )
 
 
@@ -82,14 +82,37 @@ def test_sample_dataset_deterministic_per_trial():
     assert not np.array_equal(a.X, c.X)
 
 
+def test_sample_labels_equal_links_match_per_labeler_evaluation():
+    # labelers with equal links (tabulated ones compared by value) share one
+    # link evaluation; the labels must equal evaluating every labeler alone
+    grid = np.linspace(-3.0, 3.0, 13)
+    base = (logistic_link(), scaled_logistic_link(3.0),
+            tabulated_link(grid, 0.5 + 0.5 * np.tanh(grid)),
+            tabulated_link(grid.copy(), 0.5 + 0.5 * np.tanh(grid)))
+    links = tuple(base[j % len(base)] for j in range(64))
+    model = ModelSpec(theta_star=np.array([2.0, 0.0, 0.0]), links=links,
+                      covariates=isotropic_gaussian(3))
+    X = sample_covariates(model.covariates, 5000, seed=4)
+    Y = sample_labels(model, X, seed=4, trial=2)
+    uniforms = stream_rng(4, 2, "labels").random((5000, 64))
+    margins = X @ model.theta_star
+    ref = np.empty_like(Y)
+    for j, link in enumerate(links):
+        ref[:, j] = np.where(uniforms[:, j] < link_eval(link, margins), 1, -1)
+    assert Y.dtype == np.int8
+    assert Y.tobytes() == ref.tobytes()
+
+
 def test_majority_vote_no_tie():
-    assert majority_vote([1, 1, -1], seed=0) == 1
-    assert majority_vote([-1, -1, 1], seed=0) == -1
+    out = majority_vote_matrix(np.array([[1, 1, -1], [-1, -1, 1]]), seed=0)
+    assert out.tolist() == [1, -1]
 
 
 def test_majority_vote_tie_is_seeded_fair_coin():
-    votes = [majority_vote([1, -1], seed=s) for s in range(2000)]
-    assert majority_vote([1, -1], seed=7) == majority_vote([1, -1], seed=7)
+    tie = np.array([[1, -1]])
+    votes = [int(majority_vote_matrix(tie, seed=s)[0]) for s in range(2000)]
+    assert np.array_equal(majority_vote_matrix(tie, seed=7),
+                          majority_vote_matrix(tie, seed=7))
     frac = np.mean(np.array(votes) == 1)
     assert 0.45 < frac < 0.55
 

@@ -1,14 +1,18 @@
+import dataclasses
 import itertools
+import math
+from functools import cached_property
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, optimize, special, stats
 
 from labelsim import theory
 
 from labelsim import (
     BracketNotFound,
-    ExpectationMethod,
+    CovariateKind,
+    DivergentIntegral,
     GapFunction,
     GapMode,
     ModelSpec,
@@ -62,17 +66,158 @@ def _enumerated_rho(t, links):
     return 0.5
 
 
+# ------------------------------ oracle rules -------------------------------
+# Rules the library does not use, kept here as independent checks of its
+# fixed-panel engine: Gauss-Hermite and Monte Carlo as engines with their own
+# nodes (so they plug into GapFunction), adaptive quadrature as scalar
+# integrals of the textbook formulas.
+
+
+@dataclasses.dataclass(frozen=True)
+class _GaussHermiteEngine(ZExpectationEngine):
+    """Gauss-Hermite rule on Z itself; Gaussian margins only."""
+
+    gh_order: int = 80
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.dist.kind is not CovariateKind.ISOTROPIC_GAUSSIAN:
+            raise ValueError("Gauss-Hermite requires Gaussian margins")
+
+    @cached_property
+    def _rule(self):
+        x, w = np.polynomial.hermite.hermgauss(self.gh_order)
+        return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
+
+
+@dataclasses.dataclass(frozen=True)
+class _MonteCarloEngine(ZExpectationEngine):
+    """The same mc_n draws of Z (one seed) on every call, weighted 1/mc_n."""
+
+    mc_n: int = 100_000
+    mc_seed: int = 0
+
+    @cached_property
+    def _rule(self):
+        rng = np.random.default_rng(self.mc_seed)
+        if self.dist.kind is CovariateKind.ISOTROPIC_GAUSSIAN:
+            z = rng.standard_normal(self.mc_n)
+        else:
+            z = (rng.gamma(self.dist.beta, 1.0, size=self.mc_n)
+                 * rng.choice([-1.0, 1.0], size=self.mc_n))
+        return z, np.full(self.mc_n, 1.0 / self.mc_n)
+
+
+def _quad_expect(dist, f, cuts=(1.0,)):
+    """Adaptive-quadrature E[f(Z)] for a scalar f: its even part against the
+    |Z| density on (0, inf), split at the given cuts."""
+    p = dist.z_abs_density
+
+    def even_part(z):
+        return 0.5 * (f(z) + f(-z)) * float(p(z))
+
+    edges = [0.0, *sorted(cuts), np.inf]
+    return sum(integrate.quad(even_part, a, b, epsrel=1e-12, epsabs=1e-15,
+                              limit=400)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+def _oracle_vote_plus(probs):
+    """P(majority vote +1) at one margin: a binomial tail when the votes are
+    identical, a scalar Poisson-binomial DP otherwise."""
+    m = len(probs)
+    k = m // 2
+    if len(set(probs)) == 1:
+        p = probs[0]
+        if m % 2 == 1:
+            return float(special.bdtrc(k, m, p))
+        tie = special.bdtr(k, m, p) - special.bdtr(k - 1, m, p)
+        return float(special.bdtrc(k, m, p) + 0.5 * tie)
+    dist = [1.0]
+    for p in probs:
+        dist = [a * (1.0 - p) + b * p for a, b in zip(dist + [0.0], [0.0] + dist)]
+    tie = 0.5 * dist[k] if m % 2 == 0 else 0.0
+    return sum(dist[k + 1:]) + tie
+
+
+def _oracle_prediction(kind, model, alpha=None, t_hint=None, sigma=LR):
+    """(t_m, multiplier) from the per-labeler formulas, every expectation by
+    adaptive quadrature and t_m by Brent's method to 1e-13 inside
+    t_hint * (1 -+ 1e-3); brentq fails unless the gap changes sign there.
+    ``sigma`` is the model link of the exact kinds."""
+    t_star, m, dist = model.t_star, model.m, model.covariates
+    links = model.links
+    width = 1.0 / (t_star * np.sqrt(m))
+    kinks = {abs(x) / t_star for link in links if link.grid is not None
+             for x in link.grid if x != 0}
+    # sigma(t z) changes over 1 / (alpha t) for t near the root
+    model_width = 1.0 / (sigma.alpha * t_hint)
+    cuts = (width / 4, width, 4 * width, 1.0, *kinks,
+            model_width / 4, model_width, 4 * model_width)
+
+    def expect(f):
+        return _quad_expect(dist, f, cuts)
+
+    def probs(z):
+        return [float(link_eval(link, t_star * z)) for link in links]
+
+    if kind is PredictionKind.CROWDSOURCING:
+        total = sum(expect(lambda z, a=a: float(link_eval(LR, a * t_star * z)
+                                                * link_eval(LR, -a * t_star * z)))
+                    for a in alpha)
+        return t_star, 1.0 / (t_star ** 2 * total)
+    if kind is PredictionKind.SEMIPARAMETRIC:
+        nums = [expect(lambda z, link=link: float(
+            link_eval(link, t_star * z) * (1.0 - link_eval(link, t_star * z))))
+            for link in links]
+        dens = [expect(lambda z, link=link: float(
+            t_star * link_derivative(link, t_star * z))) for link in links]
+        return t_star, np.mean(nums) / np.mean(dens) ** 2 / m
+
+    if kind is PredictionKind.MULTI_LABEL_EXACT:
+        def phi(z):
+            return float(np.mean(probs(z)))
+    else:
+        def phi(z):
+            return _oracle_vote_plus(probs(z))
+
+    def gap(t):
+        return expect(lambda z: float(z * (link_eval(sigma, t * z) * (1.0 - phi(z))
+                                           - link_eval(sigma, -t * z) * phi(z))))
+
+    t = optimize.brentq(gap, t_hint * (1 - 1e-3), t_hint * (1 + 1e-3),
+                        xtol=1e-13, rtol=4 * np.finfo(float).eps)
+
+    def s(u):
+        return float(link_eval(sigma, u))
+
+    def ds(u):
+        return float(link_derivative(sigma, u))
+
+    if kind is PredictionKind.MAJORITY_VOTE_EXACT:
+        num = expect(lambda z: s(-t * z) ** 2 * phi(z)
+                     + s(t * z) ** 2 * (1.0 - phi(z)))
+        den = expect(lambda z: ds(t * z))
+        return t, num / (t ** 2 * den ** 2)
+    e_le2 = expect(lambda z: (s(t * z) * (1.0 - phi(z)) - s(-t * z) * phi(z)) ** 2)
+    e_he = expect(lambda z: ds(-t * z) * phi(z) + ds(t * z) * (1.0 - phi(z)))
+    v_sum = sum(expect(lambda z, link=link: float(
+        link_eval(link, t_star * z) * (1.0 - link_eval(link, t_star * z)))
+        * (s(t * z) + s(-t * z)) ** 2) for link in links)
+    return t, (e_le2 + v_sum / m ** 2) / (t ** 2 * e_he ** 2)
+
+
 # --------------------------- expectation engine ----------------------------
 
 
 def test_engine_moments_all_methods():
-    for method, tol in [(ExpectationMethod.GAUSS_HERMITE, 1e-10),
-                        (ExpectationMethod.ADAPTIVE_QUADRATURE, 1e-8)]:
-        eng = ZExpectationEngine(dist=GAUSS3, method=method)
+    for eng, tol in [(_GaussHermiteEngine(dist=GAUSS3), 1e-10),
+                     (ZExpectationEngine(dist=GAUSS3), 1e-8)]:
         assert eng.expect(lambda z: z * z) == pytest.approx(1.0, abs=tol)
         assert eng.expect(lambda z: z) == pytest.approx(0.0, abs=tol)
-    mc = ZExpectationEngine(dist=GAUSS3, method=ExpectationMethod.MONTE_CARLO,
-                            mc_n=200_000, mc_seed=1)
+    assert _quad_expect(GAUSS3, lambda z: z * z) == pytest.approx(1.0, abs=1e-8)
+    assert _quad_expect(GAUSS3, lambda z: z) == pytest.approx(0.0, abs=1e-8)
+    mc = _MonteCarloEngine(dist=GAUSS3, mc_n=200_000, mc_seed=1)
     assert mc.expect(lambda z: z * z) == pytest.approx(1.0, abs=0.02)
 
 
@@ -82,14 +227,13 @@ def test_engine_beta_regular_moments():
     # E[Z^2] for sign * Gamma(2,1) is 2 * 3 = 6
     assert eng.expect(lambda z: z * z) == pytest.approx(6.0, abs=1e-8)
     with pytest.raises(ValueError):
-        ZExpectationEngine(dist=dist, method=ExpectationMethod.GAUSS_HERMITE)
+        _GaussHermiteEngine(dist=dist)
 
 
 def test_quadrature_matches_large_monte_carlo():
     quad = ZExpectationEngine(dist=GAUSS3)
     n = 10_000_000
-    mc = ZExpectationEngine(dist=GAUSS3, method=ExpectationMethod.MONTE_CARLO,
-                            mc_n=n, mc_seed=7)
+    mc = _MonteCarloEngine(dist=GAUSS3, mc_n=n, mc_seed=7)
     for f, second in [
         (lambda z: link_eval(LR, 2 * z) * (1 - link_eval(LR, 2 * z)),
          lambda z: (link_eval(LR, 2 * z) * (1 - link_eval(LR, 2 * z))) ** 2),
@@ -99,6 +243,82 @@ def test_quadrature_matches_large_monte_carlo():
         m = mc.expect(f)
         se = np.sqrt(max(mc.expect(second) - m * m, 0.0) / n)
         assert abs(q - m) <= 4 * se
+
+
+def _oracle_cases():
+    u = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    rel = (0.5, 1.0, 2.0)
+    cases = [(PredictionKind.MAJORITY_VOTE_EXACT, _model(2.0, m, d=5), None)
+             for m in (1, 4, 16, 64, 1024)]
+    cases += [(PredictionKind.MAJORITY_VOTE_EXACT,
+               ModelSpec(theta_star=2.0 * u, links=(LR,) * 64,
+                         covariates=beta_regular(5, beta, u)), None)
+              for beta in (0.5, 2.0)]
+    cases += [(PredictionKind.MAJORITY_VOTE_EXACT,
+               _model(2.0, m, d=5, links=tuple(
+                   scaled_logistic_link(a) for a in rel * (m // 3))), None)
+              for m in (9, 33)]
+    cases += [(PredictionKind.MULTI_LABEL_EXACT,
+               _model(2.0, m, links=tuple(scaled_logistic_link(a)
+                                          for a in ([0.2, 10.0] * m)[:m])), None)
+              for m in (2, 16, 64)]
+    grid = np.linspace(-3.0, 3.0, 13)
+    tab = tuple(tabulated_link(grid, 0.5 + 0.5 * np.tanh(a * grid))
+                for a in (0.5, 1.0, 2.0))
+    cases.append((PredictionKind.SEMIPARAMETRIC, _model(1.0, 6, links=tab * 2), None))
+    crowd = tuple(scaled_logistic_link(a) for a in rel)
+    cases.append((PredictionKind.CROWDSOURCING, _model(1.0, 3, links=crowd), rel))
+    cases = [(kind, model, alpha, LR) for kind, model, alpha in cases]
+    # steep and flat model links, both labeling rules
+    cases += [(kind, _model(2.0, 16, d=5), None, scaled_logistic_link(a))
+              for kind, alphas in ((PredictionKind.MULTI_LABEL_EXACT, (0.1, 50.0)),
+                                   (PredictionKind.MAJORITY_VOTE_EXACT, (0.1, 3.0)))
+              for a in alphas]
+    return cases
+
+
+def test_engine_matches_adaptive_quadrature_oracle(monkeypatch):
+    points = []
+    expect = ZExpectationEngine.expect
+
+    def counted(engine, f):
+        def g(z):
+            points[-1] += z.size
+            return f(z)
+        return expect(engine, g)
+
+    monkeypatch.setattr(ZExpectationEngine, "expect", counted)
+    for kind, model, alpha, sigma in _oracle_cases():
+        points.append(0)
+        pred = predict_covariance(kind, model, alpha=alpha, model_link=sigma)
+        t_ref, mult_ref = _oracle_prediction(kind, model, alpha, pred.t_m, sigma)
+        label = (f"{kind.value} m={model.m} {model.covariates.kind.value} "
+                 f"model alpha={sigma.alpha}")
+        assert pred.t_m == pytest.approx(t_ref, rel=1e-8), label
+        assert pred.variance_multiplier == pytest.approx(mult_ref, rel=1e-8), label
+        # the reported error estimates cover the deviation from the oracle
+        assert abs(pred.t_m - t_ref) <= pred.t_m_error, label
+        assert abs(pred.variance_multiplier - mult_ref) <= pred.multiplier_error, label
+        assert (pred.root_iterations > 0) == (kind in (
+            PredictionKind.MAJORITY_VOTE_EXACT, PredictionKind.MULTI_LABEL_EXACT))
+
+    # identical labelers: the integrand points do not grow with m
+    counts = []
+    for m in (1, 16, 64, 1024):
+        points.append(0)
+        predict_covariance(PredictionKind.MULTI_LABEL_EXACT, _model(2.0, m))
+        counts.append(points[-1])
+    assert len(set(counts)) == 1, counts
+
+
+def test_scaled_model_link_root_is_exact():
+    # sigma_alpha(t z) = sigma(alpha t z), so with logistic true labelers the
+    # multi-label root is t* / alpha however steep or flat the model link
+    for a in (0.1, 50.0):
+        pred = predict_covariance(PredictionKind.MULTI_LABEL_EXACT,
+                                  _model(2.0, 16, d=5),
+                                  model_link=scaled_logistic_link(a))
+        assert pred.t_m == pytest.approx(2.0 / a, rel=1e-14)
 
 
 # --------------------------------- rho_m -----------------------------------
@@ -250,8 +470,7 @@ def test_gap_negative_at_zero_and_increasing():
 
 
 def test_gap_quadrature_matches_monte_carlo():
-    mc = ZExpectationEngine(dist=GAUSS3, method=ExpectationMethod.MONTE_CARLO,
-                            mc_n=10_000_000, mc_seed=3)
+    mc = _MonteCarloEngine(dist=GAUSS3, mc_n=10_000_000, mc_seed=3)
     g_quad = _gap(GapMode.MULTI_LABEL, t_star=1.0, m=1)
     g_mc = _gap(GapMode.MULTI_LABEL, t_star=1.0, m=1, engine=mc)
     t = 1.4
@@ -453,6 +672,22 @@ def test_tz_limit_lemma():
     for dist, f in cases:
         out = largem_tz_limit_check(dist, f, 200.0)
         assert out["lhs"] == pytest.approx(out["rhs"], rel=0.01)
+
+
+def test_tz_limit_lemma_slowly_decaying_f():
+    # exp(-z/30) has not decayed by z = 80, where the right side first stops;
+    # int_0^inf z^{beta-1} e^{-z/s} dz = Gamma(beta) s^beta
+    f = lambda z: np.exp(-z / 30.0)
+    for dist in (GAUSS3, beta_regular(3, 0.5, np.array([1.0, 0, 0])),
+                 beta_regular(3, 2.0, np.array([1.0, 0, 0]))):
+        beta = dist.noise_exponent
+        out = largem_tz_limit_check(dist, f, 30_000.0)
+        exact = dist.c_z * math.gamma(beta) * 30.0 ** beta
+        assert out["rhs"] == pytest.approx(exact, rel=1e-10)
+        assert out["lhs"] == pytest.approx(exact, rel=0.01)
+    # int_0^inf dz / (1 + z) diverges
+    with pytest.raises(DivergentIntegral):
+        largem_tz_limit_check(GAUSS3, lambda z: 1.0 / (1.0 + z), 200.0)
 
 
 def test_rho_limit_lemma_constant_f():
