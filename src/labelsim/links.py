@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-12
+# largest knot offset from an evenly spaced grid, in steps; np.linspace
+# grids are off by rounding only, and under half a step the index
+# arithmetic of the lookup lands within one bin
+UNIFORM_TOL = 1e-6
 
 
 class LinkFamily(Enum):
@@ -43,9 +47,11 @@ class LinkFamily(Enum):
 class LinkSpec:
     """An evaluable link function with derivative and exact antiderivative.
 
-    For the tabulated family, ``grid`` must be sorted, ``values`` must be
+    For the tabulated family, ``grid`` must be strictly increasing and
+    uniform (evenly spaced, as ``np.linspace`` makes it), ``values`` must be
     nondecreasing in [0, 1] with adjacent slopes bounded by ``lipschitz``,
-    and evaluation clamps to the endpoint values outside the grid.
+    and evaluation clamps to the endpoint values outside the grid. The
+    lookup table (slopes, cumulative integral, S(0)) is built once, here.
     """
 
     family: LinkFamily
@@ -59,8 +65,10 @@ class LinkSpec:
         if self.family is LinkFamily.SCALED_LOGISTIC and self.alpha <= 0:
             raise ValueError("scaled-logistic alpha must be positive")
         if self.family is LinkFamily.TABULATED_MONOTONE:
-            grid = np.asarray(self.grid, dtype=float)
-            values = np.asarray(self.values, dtype=float)
+            # own read-only copies, so the table built below stays in step
+            grid = np.array(self.grid, dtype=float)
+            values = np.array(self.values, dtype=float)
+            grid.flags.writeable = values.flags.writeable = False
             if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
                 raise ValueError("tabulated link needs matching 1-d grid/values")
             if np.any(np.diff(grid) <= 0):
@@ -75,6 +83,68 @@ class LinkSpec:
                     raise ValueError("tabulated values violate Lipschitz bound")
             object.__setattr__(self, "grid", grid)
             object.__setattr__(self, "values", values)
+            # not a dataclass field: equality and repr see grid and values only
+            object.__setattr__(self, "_table", _UniformTable(grid, values))
+
+
+class _UniformTable:
+    """Lookups on a uniform grid. Each bin is found by index arithmetic and
+    corrected by one against the stored knots, so it equals
+    ``searchsorted(grid, t, "right") - 1``; the arithmetic after it is
+    np.interp's, and that of a searchsorted lookup, bit for bit."""
+
+    def __init__(self, grid: np.ndarray, values: np.ndarray):
+        self.step = (grid[-1] - grid[0]) / (grid.size - 1)
+        ideal = grid[0] + np.arange(grid.size) * self.step
+        if np.max(np.abs(grid - ideal)) > UNIFORM_TOL * self.step:
+            raise ValueError("tabulated grid must be uniform")
+        self.grid, self.values = grid, values
+        self.lo, self.hi = grid[0], grid[-1]
+        self.inv_step = 1.0 / self.step
+        self.last = grid.size - 1
+        # a NaN knot past the end: t >= NaN is False, so no bin passes K - 1
+        self.knots_ext = np.append(grid, np.nan)
+        self.slopes = np.diff(values) / np.diff(grid)
+        # slope 0 in bin K - 1 (past the grid) and, by wrap-around, bin -1
+        self.slopes_ext = np.append(self.slopes, 0.0)
+        # cumulative trapezoid integral of sigma from grid[0] to each knot
+        seg = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
+        self.cum = np.concatenate([[0.0], np.cumsum(seg)])
+        self.s0 = self._integral_from_left(np.zeros(1))[0]
+
+    def bins(self, t: np.ndarray) -> np.ndarray:
+        """searchsorted(grid, t, "right") - 1, in [-1, K - 1], NaN at K - 1."""
+        # clipping keeps each bin (below the grid is still below) and the
+        # arithmetic finite; fmin sends NaN to the last bin, like searchsorted
+        t = np.clip(t, self.lo - 0.5 * self.step, self.hi)
+        j = np.fmin((t - self.lo) * self.inv_step, self.last).astype(np.intp)
+        # uniform knots put the estimate within one bin of the answer
+        j += t >= self.knots_ext[j + 1]
+        j -= t < self.grid[j]
+        return j
+
+    def eval(self, t: np.ndarray) -> np.ndarray:
+        # np.interp: endpoint values outside the grid, values[j] at a knot
+        t = np.clip(t, self.lo, self.hi)
+        j = self.bins(t)
+        return self.slopes_ext[j] * (t - self.grid[j]) + self.values[j]
+
+    def derivative(self, t: np.ndarray) -> np.ndarray:
+        return self.slopes_ext[self.bins(t)]
+
+    def _integral_from_left(self, x: np.ndarray) -> np.ndarray:
+        # integral of sigma from grid[0] to x, for x possibly outside the grid
+        grid, values = self.grid, self.values
+        inside = np.clip(x, self.lo, self.hi)
+        j = np.minimum(self.bins(inside), self.last - 1)
+        dx = inside - grid[j]
+        mid = self.cum[j] + values[j] * dx + 0.5 * self.slopes[j] * dx * dx
+        return np.where(x < self.lo, values[0] * (x - self.lo),
+                        np.where(x > self.hi,
+                                 self.cum[-1] + values[-1] * (x - self.hi), mid))
+
+    def antiderivative(self, t: np.ndarray) -> np.ndarray:
+        return self._integral_from_left(t) - self.s0
 
 
 def logistic_link() -> LinkSpec:
@@ -86,6 +156,10 @@ def scaled_logistic_link(alpha: float) -> LinkSpec:
 
 
 def tabulated_link(grid, values, lipschitz=None, symmetric=None) -> LinkSpec:
+    """Piecewise-linear link through (grid, values). The grid must be
+    strictly increasing and uniform (``np.linspace``); a non-uniform grid
+    raises ``ValueError``. ``lipschitz`` defaults to the steepest slope and
+    ``symmetric`` to whether the knots are mirror-symmetric about 1/2."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     if lipschitz is None:
@@ -151,7 +225,7 @@ def link_eval(link: LinkSpec, t):
     elif link.family is LinkFamily.SCALED_LOGISTIC:
         out = expit(link.alpha * t)
     else:
-        out = np.interp(t, link.grid, link.values)
+        out = link._table.eval(t)
     return float(out[0]) if scalar else out
 
 
@@ -167,12 +241,7 @@ def link_derivative(link: LinkSpec, t):
         s = expit(link.alpha * t)
         out = link.alpha * s * (1.0 - s)
     else:
-        grid, values = link.grid, link.values
-        slopes = np.diff(values) / np.diff(grid)
-        idx = np.searchsorted(grid, t, side="right") - 1
-        inside = (idx >= 0) & (idx < slopes.size)
-        out = np.zeros_like(t)
-        out[inside] = slopes[idx[inside]]
+        out = link._table.derivative(t)
     return float(out[0]) if scalar else out
 
 
@@ -190,34 +259,8 @@ def link_antiderivative(link: LinkSpec, t):
     elif link.family is LinkFamily.SCALED_LOGISTIC:
         out = (_softplus(link.alpha * t) - np.log(2.0)) / link.alpha
     else:
-        out = _tabulated_antiderivative(link, t)
+        out = link._table.antiderivative(t)
     return float(out[0]) if scalar else out
-
-
-def _tabulated_antiderivative(link: LinkSpec, t: np.ndarray) -> np.ndarray:
-    grid, values = link.grid, link.values
-    # cumulative trapezoid integral of sigma from grid[0] to each knot
-    seg = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-
-    def integral_from_left(x):
-        # integral of sigma from grid[0] to x, for x possibly outside the grid
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        below = x < grid[0]
-        above = x > grid[-1]
-        mid = ~(below | above)
-        out[below] = values[0] * (x[below] - grid[0])
-        out[above] = cum[-1] + values[-1] * (x[above] - grid[-1])
-        if np.any(mid):
-            xm = x[mid]
-            idx = np.clip(np.searchsorted(grid, xm, side="right") - 1, 0, grid.size - 2)
-            dx = xm - grid[idx]
-            slope = (values[idx + 1] - values[idx]) / (grid[idx + 1] - grid[idx])
-            out[mid] = cum[idx] + values[idx] * dx + 0.5 * slope * dx * dx
-        return out
-
-    return integral_from_left(t) - integral_from_left(np.zeros(1))[0]
 
 
 class CovariateKind(Enum):

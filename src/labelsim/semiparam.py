@@ -2,13 +2,14 @@
 
 Stage 1 fits an initial direction by multi-label logistic ERM on a held-out
 split and estimates each labeler's link by constrained least squares
-(nondecreasing, Lipschitz, sigma(0) = 1/2, optionally symmetric). Written in
-the increments outward from the centre knot, each bounded to [0, L * delta],
-that is a bounded-variable least-squares problem, solved exactly by one BVLS
-solve per link (two when the link is not symmetric);
-`LinkFitDiagnostics.iterations` holds the BVLS iteration count per labeler,
-summed over both solves when there are two. Stage 2 refits the parameter on
-the remaining data with the per-labeler link loss.
+(nondecreasing, Lipschitz, sigma(0) = 1/2, optionally symmetric). Written
+outward from the centre knot, each side is a chain whose increments lie in
+[0, L * delta]: Lipschitz isotonic regression on a chain, solved exactly by
+a dynamic program over the chain (one per link, two when the link is not
+symmetric; Yeganova & Wilbur 2009). `LinkFitDiagnostics.iterations` holds
+the number of free increments per labeler, those strictly inside
+(0, L * delta), summed over both sides when there are two. Stage 2 refits
+the parameter on the remaining data with the per-labeler link loss.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import LossMode, LossSpec, NonConvergence, SolverOptions, fit
+from .estimators import LossMode, LossSpec, SolverOptions, fit
 from .links import FitResult, LinkSpec, MultiLabelDataset, link_eval, tabulated_link
 
 __all__ = [
@@ -52,6 +53,8 @@ class IsotonicFitOptions:
 @dataclass(frozen=True)
 class LinkFitDiagnostics:
     degenerate: tuple[bool, ...]  # per labeler: constant label column
+    # per labeler: increments strictly inside (0, L * delta), at most one
+    # per knot beside the centre
     iterations: tuple[int, ...]
 
 
@@ -75,19 +78,51 @@ class AlphaEstimate:
     below_floor: np.ndarray
 
 
-def _bvls_increments(w: np.ndarray, target: np.ndarray,
-                     step: float) -> tuple[np.ndarray, int]:
-    """Exact minimizer of sum_i w_i (sum_{j<=i} d_j - target_i)^2 over
-    increments d in [0, step]; returns the cumulative sums and iterations."""
-    from scipy.optimize import lsq_linear
+def _chain_fit(w: np.ndarray, target: np.ndarray,
+               step: float) -> tuple[np.ndarray, int]:
+    """Exact minimizer of sum_i w_i (x_i - target_i)^2 over chains with
+    x_{-1} = 0 and increments x_i - x_{i-1} in [0, step]; returns x and the
+    number of increments strictly inside their bounds.
 
-    sw = np.sqrt(w / w.sum())  # normalized, so the solver's tol is relative
-    cumsum = np.tril(np.ones((w.size, w.size)))
-    res = lsq_linear(sw[:, None] * cumsum, sw * target, bounds=(0.0, step),
-                     method="bvls")
-    if not res.success:
-        raise NonConvergence(f"link fit stopped after {res.nit} iterations")
-    return np.cumsum(res.x), res.nit
+    Dynamic programming over the chain: f_i(x), the least cost of the first
+    i + 1 points with x_i = x, is convex, so its derivative is kept as
+    nondecreasing piecewise-linear knots (pos, val); a repeated position is
+    a jump. f_i is the windowed minimum of f_{i-1} over [x - step, x], whose
+    derivative is f_{i-1}' with a flat zero piece [a, a + step] inserted at
+    the minimizer a and the part right of it shifted by step, plus
+    2 w_i (x - target_i). Backtracking clamps each stored minimizer to the
+    window below the next point.
+    """
+    n = w.size
+    pos = np.array([0.0, step])
+    val = 2.0 * w[0] * (pos - target[0])
+    argmin = np.empty(n + 1)
+    argmin[0] = 0.0  # x_{-1}
+    for i in range(1, n + 1):
+        # minimizer of f_{i-1}: where its derivative crosses zero
+        k = int(np.searchsorted(val, 0.0))
+        if k == 0:
+            a = pos[0]
+        elif k == pos.size:
+            a = pos[-1]
+        else:
+            a = pos[k - 1] - val[k - 1] * (pos[k] - pos[k - 1]) / (val[k] - val[k - 1])
+        argmin[i] = a
+        if i == n:
+            break
+        pos = np.concatenate((pos[:k], (a, a + step), pos[k:] + step))
+        val = np.concatenate((val[:k], (0.0, 0.0), val[k:]))
+        val += 2.0 * w[i] * (pos - target[i])
+    x = np.empty(n)
+    x[-1] = argmin[n]
+    free = 0
+    for i in range(n - 1, -1, -1):
+        a = argmin[i]
+        below = x[i] - step
+        free += below < a < x[i]
+        if i:
+            x[i - 1] = min(max(a, below), x[i])
+    return x, int(free)
 
 
 def _fit_single_link(margins: np.ndarray, y01: np.ndarray,
@@ -118,12 +153,12 @@ def _fit_single_link(margins: np.ndarray, y01: np.ndarray,
         # sigma(-z) = 1 - sigma(z) folds each mirrored pair into one target
         w_f = w_r + w_l
         t_f = (w_r * t_r + w_l * (1.0 - t_l)) / w_f
-        rise, iters = _bvls_increments(w_f, t_f - 0.5, step)
+        rise, iters = _chain_fit(w_f, t_f - 0.5, step)
         fall = rise
     else:
-        rise, it_r = _bvls_increments(w_r, t_r - 0.5, step)
-        fall, it_l = _bvls_increments(w_l, 0.5 - t_l, step)
-        iters = it_r + it_l
+        rise, free_r = _chain_fit(w_r, t_r - 0.5, step)
+        fall, free_l = _chain_fit(w_l, 0.5 - t_l, step)
+        iters = free_r + free_l
     values = np.concatenate([0.5 - fall[::-1], [0.5], 0.5 + rise])
     link = tabulated_link(grid, np.clip(values, 0.0, 1.0),
                           lipschitz=opts.lipschitz,

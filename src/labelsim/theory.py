@@ -331,6 +331,9 @@ def construct_matching_link(sigma_star: LinkSpec, theta_star, m: int,
 
     sigma_bar(t) = T_{m_bar}^{-1}(T_m(sigma_star(s t))) with
     s = ||theta_star|| / ||theta_bar||; requires collinear directions.
+    ``grid`` (default 801 knots over 12 / s either side of 0) must be
+    uniform, as every tabulated grid is; a non-uniform one raises
+    ``ValueError``.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     theta_bar = np.asarray(theta_bar, dtype=float)
@@ -437,10 +440,15 @@ class GapFunction:
         t_m, result = optimize.brentq(lambda t: gap_eval(self, t), lo, hi,
                                       xtol=ROOT_XTOL, rtol=ROOT_RTOL,
                                       full_output=True)
+        # majority vote sharpens the labels, so the model link's margin at
+        # the root, alpha t_m, is at least t* (alpha = 1 unless scaled)
+        sigma = self.model_link
+        alpha = sigma.alpha if sigma.family is LinkFamily.SCALED_LOGISTIC else 1.0
         if (self.mode is GapMode.MAJORITY_VOTE
-                and t_m < self.t_star * (1.0 - 1e-6)):
+                and alpha * t_m < self.t_star * (1.0 - 1e-6)):
             raise ValueError(
-                f"majority-vote root t_m={t_m:.6g} fell below t*={self.t_star:.6g}")
+                f"majority-vote root alpha*t_m={alpha * t_m:.6g} fell below "
+                f"t*={self.t_star:.6g}")
         return t_m, expansions + result.iterations
 
 

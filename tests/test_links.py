@@ -9,6 +9,7 @@ from labelsim import (
     MultiLabelDataset,
     TheoryPrediction,
     beta_regular,
+    construct_matching_link,
     isotropic_gaussian,
     link_antiderivative,
     link_derivative,
@@ -90,6 +91,103 @@ def test_tabulated_eval_clamps_and_interpolates():
     assert link_eval(link, 0.5) == pytest.approx(0.65)
     assert link_derivative(link, 0.5) == pytest.approx(0.3)
     assert link_derivative(link, 5.0) == 0.0
+
+
+def _reference_derivative(grid, values, t):
+    # right slope at a knot, 0 outside the grid and at its last knot
+    slopes = np.diff(values) / np.diff(grid)
+    idx = np.searchsorted(grid, t, side="right") - 1
+    inside = (idx >= 0) & (idx < slopes.size)
+    out = np.zeros_like(t)
+    out[inside] = slopes[idx[inside]]
+    return out
+
+
+def _reference_antiderivative(grid, values, t):
+    # cumulative trapezoid integral plus the partial bin, searched per point
+    seg = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+
+    def from_left(x):
+        out = np.empty_like(x)
+        below, above = x < grid[0], x > grid[-1]
+        mid = ~(below | above)
+        out[below] = values[0] * (x[below] - grid[0])
+        out[above] = cum[-1] + values[-1] * (x[above] - grid[-1])
+        xm = x[mid]
+        idx = np.clip(np.searchsorted(grid, xm, side="right") - 1, 0, grid.size - 2)
+        dx = xm - grid[idx]
+        slope = (values[idx + 1] - values[idx]) / (grid[idx + 1] - grid[idx])
+        out[mid] = cum[idx] + values[idx] * dx + 0.5 * slope * dx * dx
+        return out
+
+    return from_left(t) - from_left(np.zeros(1))[0]
+
+
+def _bits(a):
+    # equal bits, so -0.0 differs from 0.0; every NaN counts as one value
+    a = np.where(np.isnan(a), np.nan, a)
+    return a.view(np.int64)
+
+
+def _lookup_cases():
+    rng = np.random.default_rng(7)
+    for size, lo, hi in ((2, -1.0, 1.0), (3, -1.0, 1.0), (17, -3.0, 3.0),
+                         (513, -4.13, 4.13), (801, -12.0 / 0.7, 12.0 / 0.7),
+                         (100, -5.0, 5.0), (41, 0.3, 2.9)):
+        grid = np.linspace(lo, hi, size)
+        values = np.sort(rng.uniform(0.0, 1.0, size))
+        values[: size // 3] = values[0]  # a flat stretch
+        t = np.concatenate([
+            grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
+            rng.uniform(lo - 1.0, hi + 1.0, 500),
+            [0.0, -0.0, lo - 1e-300, hi + 1e-300, 1e300, -1e300,
+             np.inf, -np.inf, np.nan]])
+        yield grid, values, t
+
+
+def test_tabulated_lookup_bins_match_searchsorted():
+    for grid, values, t in _lookup_cases():
+        bins = tabulated_link(grid, values)._table.bins(t)
+        assert np.array_equal(bins, np.searchsorted(grid, t, side="right") - 1)
+
+
+def test_tabulated_lookups_are_bit_identical_to_references():
+    for grid, values, t in _lookup_cases():
+        link = tabulated_link(grid, values)
+        cases = (
+            (link_eval(link, t), np.interp(t, grid, values)),
+            (link_derivative(link, t), _reference_derivative(grid, values, t)),
+            (link_antiderivative(link, t), _reference_antiderivative(grid, values, t)),
+        )
+        for got, want in cases:
+            assert np.array_equal(_bits(got), _bits(want)), grid.size
+        for x in (0.0, -0.0, float(grid[1])):
+            assert link_eval(link, x) == np.interp(x, grid, values)
+
+
+def test_tabulated_grid_must_be_uniform():
+    grid = np.array([-1.0, -0.5, 0.2, 0.6, 1.0])
+    with pytest.raises(ValueError, match="uniform"):
+        tabulated_link(grid, [0.1, 0.3, 0.5, 0.7, 0.9])
+    with pytest.raises(ValueError, match="uniform"):
+        construct_matching_link(logistic_link(), np.array([1.0, 0.0]), 3,
+                                np.array([1.0, 0.0]), 1, grid=grid)
+    # rounding-level deviations, as np.linspace leaves them, are uniform
+    tabulated_link(np.linspace(-7.3, 7.3, 1001), np.linspace(0.0, 1.0, 1001))
+
+
+def test_tabulated_link_keeps_its_own_knots():
+    # the lookup table is built once, so the link copies the knots it is
+    # given and refuses writes to them
+    grid = np.linspace(-1.0, 1.0, 5)
+    values = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    link = tabulated_link(grid, values)
+    values[:] = 0.5
+    assert link_eval(link, 0.25) == pytest.approx(0.6)
+    assert link_antiderivative(link, 1.0) == pytest.approx(0.7)
+    with pytest.raises(ValueError):
+        link.values[0] = 0.2
 
 
 def test_covariate_distributions():

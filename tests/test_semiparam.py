@@ -21,6 +21,7 @@ from labelsim import (
     scaled_logistic_link,
     semiparametric_fit,
 )
+from labelsim.semiparam import _chain_fit
 
 LR = logistic_link()
 
@@ -191,6 +192,50 @@ def test_production_grid_fit_meets_kkt(symmetric):
     _assert_feasible(link, opts)
     y01 = (ds.Y[:, 0] + 1.0) / 2.0
     assert _increment_kkt_residual(link, ds.X @ model.u_star, y01, opts) <= 1e-9
+
+
+def _bvls_chain_fit(w, target, step):
+    """The chain fit as bounded least squares in the increments, solved by
+    scipy's BVLS on the dense cumulative-sum matrix."""
+    sw = np.sqrt(w / w.sum())
+    cumsum = np.tril(np.ones((w.size, w.size)))
+    res = optimize.lsq_linear(sw[:, None] * cumsum, sw * target,
+                              bounds=(0.0, step), method="bvls")
+    assert res.success
+    return np.cumsum(res.x)
+
+
+def test_chain_fit_matches_bvls_oracle():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        size = int(rng.integers(5, 257))
+        step = float(rng.uniform(1e-3, 0.2))
+        w = rng.uniform(0.05, 20.0, size)
+        # a noisy rise, so the fit mixes free and bound increments
+        target = np.cumsum(rng.normal(0.3 * step, step, size)) + rng.normal(0, 0.1, size)
+        x, free = _chain_fit(w, target, step)
+        assert np.max(np.abs(x - _bvls_chain_fit(w, target, step))) <= 1e-10
+        inc = np.diff(x, prepend=0.0)
+        assert np.all(inc >= 0.0) and np.all(inc <= step * (1 + 1e-12))
+        assert 0 <= free <= size
+
+
+def test_chain_fit_with_every_increment_at_a_bound():
+    step = 0.1
+    cases = (
+        # heavy points below zero hold the first two increments at 0; light
+        # points far above pull the last two to the step bound
+        (np.array([100.0, 100.0, 1.0, 1.0]), np.array([-1.0, -1.0, 5.0, 5.0]),
+         [0.0, 0.0, step, 2 * step]),
+        # the mirror case: two rises at the bound, then flat
+        (np.ones(5), np.array([10.0, 10.0, 0.0, 0.0, 0.0]),
+         [step, 2 * step, 2 * step, 2 * step, 2 * step]),
+    )
+    for w, target, want in cases:
+        x, free = _chain_fit(w, target, step)
+        assert x == pytest.approx(want, abs=1e-15)
+        assert free == 0
+        assert np.max(np.abs(x - _bvls_chain_fit(w, target, step))) <= 1e-10
 
 
 def test_semiparametric_fit_recovers_direction_and_links():

@@ -321,6 +321,20 @@ def test_scaled_model_link_root_is_exact():
         assert pred.t_m == pytest.approx(2.0 / a, rel=1e-14)
 
 
+def test_majority_root_guard_scales_with_model_alpha():
+    # a steep model link puts the majority root below t*; the guard checks
+    # alpha t_m >= t*, the margin the model link sees
+    pred = predict_covariance(PredictionKind.MAJORITY_VOTE_EXACT,
+                              _model(2.0, 1, d=5),
+                              model_link=scaled_logistic_link(3.0))
+    assert pred.t_m == pytest.approx(2.0 / 3.0, abs=1e-12)
+    pred = predict_covariance(PredictionKind.MAJORITY_VOTE_EXACT,
+                              _model(2.0, 16, d=5),
+                              model_link=scaled_logistic_link(10.0))
+    assert np.isfinite(pred.t_m) and np.isfinite(pred.variance_multiplier)
+    assert 10.0 * pred.t_m >= 2.0
+
+
 # --------------------------------- rho_m -----------------------------------
 
 
