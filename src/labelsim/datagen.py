@@ -49,20 +49,33 @@ def sample_covariates(dist: CovariateDistribution, n: int, seed, trial: int = 0)
 
 
 def sample_labels(model: ModelSpec, X: np.ndarray, seed, trial: int = 0) -> np.ndarray:
-    """Draw Y_ij = +1 with probability sigma_j(<theta*, x_i>), i.i.d. given X."""
+    """Draw Y_ij = +1 with probability sigma_j(<theta*, x_i>), i.i.d. given X.
+
+    One n x m matrix of uniforms is drawn, and Y_ij = +1 where u_ij < p_ij.
+    Labelers with equal links form one group: the link is evaluated once
+    per group and compared with all of the group's columns in one
+    broadcast (the whole matrix when every labeler shares one link). The
+    result is a C-contiguous int8 n x m matrix of +-1.
+    """
     X = np.asarray(X, dtype=float)
     if X.shape[1] != model.d:
         raise ValueError("covariate dimension mismatch")
     rng = seed if isinstance(seed, np.random.Generator) else stream_rng(seed, trial, "labels")
     margins = X @ model.theta_star
     n, m = X.shape[0], model.m
-    Y = np.empty((n, m), dtype=np.int8)
     uniforms = rng.random((n, m))
-    # labelers with equal links share one evaluation of the link
     distinct, index = group_links(model.links)
-    probs = [link_eval(link, margins) for link in distinct]
-    for j, g in enumerate(index):
-        Y[:, j] = np.where(uniforms[:, j] < probs[g], 1, -1)
+    if len(distinct) == 1:
+        positive = uniforms < link_eval(distinct[0], margins)[:, None]
+    else:
+        positive = np.empty((n, m), dtype=bool)
+        for g, link in enumerate(distinct):
+            cols = np.flatnonzero(index == g)
+            positive[:, cols] = uniforms[:, cols] < link_eval(link, margins)[:, None]
+    # True/False as int8 1/0, mapped to +1/-1 in place
+    Y = positive.view(np.int8)
+    Y *= 2
+    Y -= 1
     return Y
 
 

@@ -16,6 +16,15 @@ each way has its own loss kernel over the margins u = X theta:
                sigma(t) = 1/(1 + exp(-alpha_j t)), which at alpha = 1 give
                the plain multi-label logistic loss.
 
+A kernel is one call, ``kernel(u) -> (loss, c, w)``: the mean loss, the
+coefficients c of the gradient X^T c and the weights w of the Hessian
+X^T diag(w) X, all from one evaluation of each link (``links.link_terms``,
+which returns S, sigma and sigma' together). The binomial kernel needs the
+link at +u and -u; for the logistic family both come from one
+e = exp(-|alpha u|) and one log1p(e), and a tabulated link costs one bin
+lookup per sign. The per-labeler kernel evaluates each labeler's link once,
+at -Y_ij u_i.
+
 ``fit`` reduces the labels to a kernel once, then runs damped Newton until
 the gradient norm reaches ``grad_tol``, theta diverges, no step decreases the
 loss, or the Newton decrement lambda^2 = g^T H^{-1} g falls to the loss's
@@ -36,8 +45,8 @@ from .links import (
     LinkSpec,
     MultiLabelDataset,
     link_antiderivative,
-    link_derivative,
-    link_eval,
+    link_terms,
+    link_terms_mirrored,
     logistic_link,
     scaled_logistic_link,
 )
@@ -117,60 +126,66 @@ def link_loss(link: LinkSpec, theta, x, y) -> float:
 class _BinomialKernel:
     """k_i of M labels are +1, all under one link, evaluated at +-u.
 
-    ``loss`` is the mean loss over the n*M labels; ``grad`` returns c with
-    gradient X^T c and ``hess`` returns w with Hessian X^T diag(w) X. The
-    two are separate calls so that the last iterate, which needs only the
-    gradient, skips the Hessian weights.
+    ``kernel(u)`` returns (loss, c, w) from one link evaluation at +-u: the
+    mean loss over the n*M labels, c with gradient X^T c, and w with Hessian
+    X^T diag(w) X.
     """
 
     def __init__(self, link: LinkSpec, k: np.ndarray, M: int):
         self.link, self.k, self.M = link, k, float(M)
         self.scale = k.size * self.M
 
-    def loss(self, u: np.ndarray) -> float:
-        link, k, M = self.link, self.k, self.M
-        vals = k * link_antiderivative(link, -u) + (M - k) * link_antiderivative(link, u)
-        return float(vals.sum() / self.scale)
-
-    def grad(self, u: np.ndarray) -> np.ndarray:
-        link, k, M = self.link, self.k, self.M
-        return ((M - k) * link_eval(link, u) - k * link_eval(link, -u)) / self.scale
-
-    def hess(self, u: np.ndarray) -> np.ndarray:
-        link, k, M = self.link, self.k, self.M
-        return (k * link_derivative(link, -u) + (M - k) * link_derivative(link, u)) / self.scale
+    def __call__(self, u: np.ndarray):
+        k, scale = self.k, self.scale
+        (anti, value, deriv), (anti_m, value_m, deriv_m) = link_terms_mirrored(self.link, u)
+        rest = self.M - k  # labels that are -1
+        # k S(-u) + (M - k) S(u), (M - k) sigma(u) - k sigma(-u) and
+        # k sigma'(-u) + (M - k) sigma'(u), in place; deriv_m may be deriv
+        anti_m *= k
+        anti *= rest
+        anti_m += anti
+        loss = float(anti_m.sum() / scale)
+        del anti, anti_m
+        value *= rest
+        value_m *= k
+        value -= value_m
+        value /= scale
+        del value_m
+        w = k * deriv_m
+        deriv *= rest
+        w += deriv
+        w /= scale
+        return loss, value, w
 
     def separated(self, u: np.ndarray) -> bool:
         return bool(np.all(np.where(u > 0, self.k == self.M, (u < 0) & (self.k == 0))))
 
 
 class _PerLabelerKernel:
-    """Labeler j scores its column with its own link, evaluated only at
-    -Y_ij u_i. ``Y`` stays int8; one column at a time is made float. Same
-    methods as ``_BinomialKernel``."""
+    """Labeler j scores its column with its own link, evaluated once per
+    call at -Y_ij u_i. ``Y`` stays int8. Same call as ``_BinomialKernel``."""
 
     def __init__(self, links: tuple[LinkSpec, ...], Y: np.ndarray):
         self.links, self.Y = links, Y
         self.scale = Y.shape[0] * Y.shape[1]
 
-    def loss(self, u: np.ndarray) -> float:
-        total = 0.0
-        for j, link in enumerate(self.links):
-            total += float(link_antiderivative(link, -(self.Y[:, j] * u)).sum())
-        return total / self.scale
-
-    def grad(self, u: np.ndarray) -> np.ndarray:
+    def __call__(self, u: np.ndarray):
+        loss = 0.0
         coef = np.zeros(u.size)
-        for j, link in enumerate(self.links):
-            yj = self.Y[:, j].astype(float)
-            coef -= yj * link_eval(link, -yj * u)
-        return coef / self.scale
-
-    def hess(self, u: np.ndarray) -> np.ndarray:
         w = np.zeros(u.size)
         for j, link in enumerate(self.links):
-            w += link_derivative(link, -(self.Y[:, j] * u))
-        return w / self.scale
+            yj = self.Y[:, j]
+            t = yj * u
+            np.negative(t, out=t)
+            anti, value, deriv = link_terms(link, t)
+            loss += float(anti.sum())
+            value *= yj
+            coef -= value
+            w += deriv
+            del t, anti, value, deriv  # free them before the next labeler runs
+        coef /= self.scale
+        w /= self.scale
+        return loss / self.scale, coef, w
 
     def separated(self, u: np.ndarray) -> bool:
         return bool(np.all(self.Y * u[:, None] > 0))
@@ -208,17 +223,17 @@ def _kernel_and_margins(spec: LossSpec, theta, dataset: MultiLabelDataset):
 
 def loss_value(spec: LossSpec, theta, dataset: MultiLabelDataset) -> float:
     kernel, u = _kernel_and_margins(spec, theta, dataset)
-    return kernel.loss(u)
+    return kernel(u)[0]
 
 
 def loss_gradient(spec: LossSpec, theta, dataset: MultiLabelDataset) -> np.ndarray:
     kernel, u = _kernel_and_margins(spec, theta, dataset)
-    return dataset.X.T @ kernel.grad(u)
+    return dataset.X.T @ kernel(u)[1]
 
 
 def loss_hessian(spec: LossSpec, theta, dataset: MultiLabelDataset) -> np.ndarray:
     kernel, u = _kernel_and_margins(spec, theta, dataset)
-    return dataset.X.T @ (kernel.hess(u)[:, None] * dataset.X)
+    return dataset.X.T @ (kernel(u)[2][:, None] * dataset.X)
 
 
 def fit(spec: LossSpec, dataset: MultiLabelDataset,
@@ -237,18 +252,19 @@ def fit(spec: LossSpec, dataset: MultiLabelDataset,
     theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     kernel, u = _kernel_and_margins(spec, theta, dataset)
 
-    def loss_at(th, u):
-        return kernel.loss(u) + 0.5 * ridge * float(th @ th)
+    def evaluate(th, u):
+        # loss, gradient and Hessian weights at theta = th, u = X th
+        loss, coef, w = kernel(u)
+        return loss + 0.5 * ridge * float(th @ th), X.T @ coef + ridge * th, w
 
-    def grad_at(th, u):
-        return X.T @ kernel.grad(u) + ridge * th
-
-    loss = loss_at(theta, u)
-    g = grad_at(theta, u)
+    loss, g, w = evaluate(theta, u)
     iterations = 0
     while (iterations < opts.max_iters and np.linalg.norm(g) > opts.grad_tol
            and np.linalg.norm(theta) <= opts.divergence_threshold):
-        H = X.T @ (kernel.hess(u)[:, None] * X) + ridge * np.eye(d)
+        H = X.T @ (w[:, None] * X) + ridge * np.eye(d)
+        # freed before the candidates allocate theirs (peak memory); the
+        # line search binds each candidate's weights to w
+        del w
         step = None
         try:
             step = np.linalg.solve(H + 1e-14 * np.eye(d), -g)
@@ -267,14 +283,13 @@ def fit(spec: LossSpec, dataset: MultiLabelDataset,
         for _ in range(60):
             cand = theta + eta * step
             cand_u = X @ cand
-            cand_loss = loss_at(cand, cand_u)
+            cand_loss, cand_g, w = evaluate(cand, cand_u)
             if last or cand_loss <= loss + 1e-4 * eta * slope:
                 break
             eta *= 0.5
         else:
             break  # no step decreases the loss
-        theta, u, loss = cand, cand_u, cand_loss
-        g = grad_at(theta, u)
+        theta, u, loss, g = cand, cand_u, cand_loss, cand_g
         iterations += 1
         if last:
             break

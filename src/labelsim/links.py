@@ -22,6 +22,8 @@ __all__ = [
     "link_eval",
     "link_derivative",
     "link_antiderivative",
+    "link_terms",
+    "link_terms_mirrored",
     "CovariateKind",
     "CovariateDistribution",
     "ModelSpec",
@@ -31,6 +33,7 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-12
+LOG2 = np.log(2.0)
 # largest knot offset from an evenly spaced grid, in steps; np.linspace
 # grids are off by rounding only, and under half a step the index
 # arithmetic of the lookup lands within one bin
@@ -117,34 +120,76 @@ class _UniformTable:
         # clipping keeps each bin (below the grid is still below) and the
         # arithmetic finite; fmin sends NaN to the last bin, like searchsorted
         t = np.clip(t, self.lo - 0.5 * self.step, self.hi)
-        j = np.fmin((t - self.lo) * self.inv_step, self.last).astype(np.intp)
+        j = t - self.lo
+        j *= self.inv_step
+        j = np.fmin(j, self.last, out=j).astype(np.intp)
         # uniform knots put the estimate within one bin of the answer
         j += t >= self.knots_ext[j + 1]
         j -= t < self.grid[j]
         return j
 
+    # The two helpers below work in place, in the order of the plain
+    # expressions they replace, so they are bit-identical to them and keep
+    # few temporaries alive.
+
+    def _value(self, inside: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # np.interp on t clipped to the grid (inside), j = max(bin of t, 0):
+        # slopes[j] * (t - grid[j]) + values[j], endpoint values outside the
+        # grid, values[j] at a knot
+        out = inside - self.grid[j]
+        out *= self.slopes_ext[j]
+        out += self.values[j]
+        return out
+
+    def _integral(self, x: np.ndarray, inside: np.ndarray,
+                  j: np.ndarray) -> np.ndarray:
+        # integral of sigma from grid[0] to x, for x possibly outside the
+        # grid: cum[j] + values[j] dx + 0.5 slopes[j] dx^2 inside, with
+        # dx = inside - grid[j], and linear in the end values outside;
+        # inside is x clipped to the grid (overwritten by dx), j its bin in
+        # [0, K - 2]
+        dx = np.subtract(inside, self.grid[j], out=inside)
+        out = self.values[j]
+        out *= dx
+        out += self.cum[j]
+        quad = self.slopes[j]
+        quad *= 0.5
+        quad *= dx
+        quad *= dx
+        out += quad
+        below, above = x < self.lo, x > self.hi
+        out[below] = self.values[0] * (x[below] - self.lo)
+        out[above] = self.cum[-1] + self.values[-1] * (x[above] - self.hi)
+        return out
+
+    def _integral_from_left(self, x: np.ndarray) -> np.ndarray:
+        inside = np.clip(x, self.lo, self.hi)
+        return self._integral(x, inside,
+                              np.minimum(self.bins(inside), self.last - 1))
+
     def eval(self, t: np.ndarray) -> np.ndarray:
-        # np.interp: endpoint values outside the grid, values[j] at a knot
-        t = np.clip(t, self.lo, self.hi)
-        j = self.bins(t)
-        return self.slopes_ext[j] * (t - self.grid[j]) + self.values[j]
+        inside = np.clip(t, self.lo, self.hi)
+        return self._value(inside, self.bins(inside))
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
         return self.slopes_ext[self.bins(t)]
 
-    def _integral_from_left(self, x: np.ndarray) -> np.ndarray:
-        # integral of sigma from grid[0] to x, for x possibly outside the grid
-        grid, values = self.grid, self.values
-        inside = np.clip(x, self.lo, self.hi)
-        j = np.minimum(self.bins(inside), self.last - 1)
-        dx = inside - grid[j]
-        mid = self.cum[j] + values[j] * dx + 0.5 * self.slopes[j] * dx * dx
-        return np.where(x < self.lo, values[0] * (x - self.lo),
-                        np.where(x > self.hi,
-                                 self.cum[-1] + values[-1] * (x - self.hi), mid))
-
     def antiderivative(self, t: np.ndarray) -> np.ndarray:
         return self._integral_from_left(t) - self.s0
+
+    def terms(self, t: np.ndarray):
+        """antiderivative, eval and derivative of t from one bin lookup,
+        each bit-identical to its own method."""
+        j = self.bins(t)
+        deriv = self.slopes_ext[j]  # bin -1 (below the grid) has slope 0
+        inside = np.clip(t, self.lo, self.hi)
+        # the bin of t clipped to the grid, as eval and the integral find it
+        np.maximum(j, 0, out=j)
+        value = self._value(inside, j)
+        np.minimum(j, self.last - 1, out=j)
+        anti = self._integral(t, inside, j)
+        anti -= self.s0
+        return anti, value, deriv
 
 
 def logistic_link() -> LinkSpec:
@@ -255,12 +300,66 @@ def link_antiderivative(link: LinkSpec, t):
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if link.family is LinkFamily.LOGISTIC:
-        out = _softplus(t) - np.log(2.0)
+        out = _softplus(t) - LOG2
     elif link.family is LinkFamily.SCALED_LOGISTIC:
-        out = (_softplus(link.alpha * t) - np.log(2.0)) / link.alpha
+        out = (_softplus(link.alpha * t) - LOG2) / link.alpha
     else:
         out = link._table.antiderivative(t)
     return float(out[0]) if scalar else out
+
+
+def link_terms(link: LinkSpec, t: np.ndarray):
+    """(S(t), sigma(t), sigma'(t)) of a float array t from one pass.
+
+    Logistic family: one e = exp(-|alpha t|) gives sigma = 1/(1 + e) or
+    e/(1 + e) by the sign of t, S = (max(alpha t, 0) + log1p(e) - log 2)/alpha
+    and sigma' = alpha e/(1 + e)^2; e <= 1 never overflows, and sigma' keeps
+    its relative accuracy where s (1 - s) cancels. Tabulated: one bin lookup
+    serves all three, each bit-identical to its own function. The caller
+    owns the returned arrays.
+    """
+    if link.family is LinkFamily.TABULATED_MONOTONE:
+        return link._table.terms(t)
+    return _logistic_terms(link, t, mirrored=False)
+
+
+def link_terms_mirrored(link: LinkSpec, t: np.ndarray):
+    """``link_terms`` at t and at -t. The logistic family computes e and
+    log1p(e) once for both signs, and the two share one sigma' array."""
+    if link.family is LinkFamily.TABULATED_MONOTONE:
+        return link._table.terms(t), link._table.terms(-t)
+    return _logistic_terms(link, t, mirrored=True)
+
+
+def _logistic_terms(link: LinkSpec, t: np.ndarray, mirrored: bool):
+    # in-place steps keep the live n-vectors few; S is summed in
+    # link_antiderivative's order, so it is bit-identical to it
+    alpha = link.alpha if link.family is LinkFamily.SCALED_LOGISTIC else 1.0
+    at = alpha * t
+    e = np.abs(at)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    up = at >= 0
+    value = np.where(up, 1.0, e)
+    value /= d
+    if mirrored:
+        value_m = np.where(up, e, 1.0)
+        value_m /= d
+        anti_m = np.negative(at)
+        np.maximum(anti_m, 0.0, out=anti_m)
+    anti = np.maximum(at, 0.0, out=at)
+    deriv = np.multiply(d, d, out=d)
+    np.divide(e, deriv, out=deriv)
+    deriv *= alpha
+    log_term = np.log1p(e, out=e)
+    for a in ((anti, anti_m) if mirrored else (anti,)):
+        a += log_term
+        a -= LOG2
+        a /= alpha
+    if mirrored:
+        return (anti, value, deriv), (anti_m, value_m, deriv)
+    return anti, value, deriv
 
 
 class CovariateKind(Enum):

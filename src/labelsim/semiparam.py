@@ -7,9 +7,13 @@ outward from the centre knot, each side is a chain whose increments lie in
 [0, L * delta]: Lipschitz isotonic regression on a chain, solved exactly by
 a dynamic program over the chain (one per link, two when the link is not
 symmetric; Yeganova & Wilbur 2009). `LinkFitDiagnostics.iterations` holds
-the number of free increments per labeler, those strictly inside
-(0, L * delta), summed over both sides when there are two. Stage 2 refits
-the parameter on the remaining data with the per-labeler link loss.
+the number of free increments of that solve per labeler, those strictly
+inside (0, L * delta), summed over both sides when there are two. Knots
+whose bins hold no data (for a symmetric link: neither mirrored bin) carry
+no weight, so the objective does not fix them; they are set by linear
+interpolation between the nearest knots with data and held flat past the
+outermost one. Stage 2 refits the parameter on the remaining data with the
+per-labeler link loss.
 """
 
 from __future__ import annotations
@@ -125,6 +129,18 @@ def _chain_fit(w: np.ndarray, target: np.ndarray,
     return x, int(free)
 
 
+def _fill_empty(x: np.ndarray, has_data: np.ndarray) -> np.ndarray:
+    """The chain x (knots 1..K outward from the centre knot, which is 0)
+    with each knot whose bin holds no data set by linear interpolation
+    between the nearest knots that do, the centre counted, and held flat
+    past the last of them. Empty bins weigh 1e-12, so the objective is flat
+    there to rounding; this fixes their values independently of the solver
+    and keeps every increment in [0, L * delta]."""
+    knots = np.flatnonzero(has_data) + 1
+    return np.interp(np.arange(1, x.size + 1), np.concatenate(([0], knots)),
+                     np.concatenate(([0.0], x[knots - 1])))
+
+
 def _fit_single_link(margins: np.ndarray, y01: np.ndarray,
                      opts: IsotonicFitOptions) -> tuple[LinkSpec, int]:
     half = float(np.max(np.abs(margins)))
@@ -140,8 +156,8 @@ def _fit_single_link(margins: np.ndarray, y01: np.ndarray,
     counts = np.bincount(idx, minlength=size).astype(float)
     sums = np.bincount(idx, weights=y01, minlength=size)
     target = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.5)
-    # empty bins get a vanishing weight, so their knots follow the fitted
-    # neighbours and every increment is unique
+    # empty bins get a vanishing weight, so every increment is unique;
+    # _fill_empty then sets their knots from the bins with data
     w = np.maximum(counts, 1e-12)
 
     # values are 1/2 at the centre knot plus cumulative increments outward;
@@ -149,15 +165,18 @@ def _fit_single_link(margins: np.ndarray, y01: np.ndarray,
     # clipping a monotone Lipschitz fit to it never raises the residual
     w_r, t_r = w[center + 1:], target[center + 1:]
     w_l, t_l = w[center - 1::-1], target[center - 1::-1]
+    has_r, has_l = counts[center + 1:] > 0, counts[center - 1::-1] > 0
     if opts.enforce_symmetry:
         # sigma(-z) = 1 - sigma(z) folds each mirrored pair into one target
         w_f = w_r + w_l
         t_f = (w_r * t_r + w_l * (1.0 - t_l)) / w_f
         rise, iters = _chain_fit(w_f, t_f - 0.5, step)
+        rise = _fill_empty(rise, has_r | has_l)
         fall = rise
     else:
         rise, free_r = _chain_fit(w_r, t_r - 0.5, step)
         fall, free_l = _chain_fit(w_l, 0.5 - t_l, step)
+        rise, fall = _fill_empty(rise, has_r), _fill_empty(fall, has_l)
         iters = free_r + free_l
     values = np.concatenate([0.5 - fall[::-1], [0.5], 0.5 + rise])
     link = tabulated_link(grid, np.clip(values, 0.0, 1.0),

@@ -99,7 +99,29 @@ def test_sample_labels_equal_links_match_per_labeler_evaluation():
     ref = np.empty_like(Y)
     for j, link in enumerate(links):
         ref[:, j] = np.where(uniforms[:, j] < link_eval(link, margins), 1, -1)
-    assert Y.dtype == np.int8
+    assert Y.dtype == np.int8 and Y.flags.c_contiguous
+    assert Y.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("links", [
+    (logistic_link(),),
+    (logistic_link(),) * 64,
+    tuple(scaled_logistic_link(a) for a in (0.5, 1.0, 2.0)),
+], ids=["one link m=1", "one link m=64", "three distinct links"])
+def test_sample_labels_match_per_column_reference(links):
+    # one link group compares the whole uniform matrix in one broadcast,
+    # distinct links one column each; either way the labels must equal a
+    # per-column comparison with the same uniforms
+    model = ModelSpec(theta_star=np.array([2.0, 0.0, 0.0]), links=links,
+                      covariates=isotropic_gaussian(3))
+    X = sample_covariates(model.covariates, 5000, seed=4)
+    Y = sample_labels(model, X, seed=4, trial=2)
+    uniforms = stream_rng(4, 2, "labels").random((5000, len(links)))
+    margins = X @ model.theta_star
+    ref = np.empty((5000, len(links)), dtype=np.int8)
+    for j, link in enumerate(links):
+        ref[:, j] = np.where(uniforms[:, j] < link_eval(link, margins), 1, -1)
+    assert Y.dtype == np.int8 and Y.flags.c_contiguous
     assert Y.tobytes() == ref.tobytes()
 
 

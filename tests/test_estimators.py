@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,20 @@ from labelsim import (
     SolverOptions,
     fit,
     isotropic_gaussian,
+    link_antiderivative,
+    link_derivative,
+    link_eval,
     link_loss,
     logistic_link,
     loss_gradient,
     loss_hessian,
     loss_value,
+    majority_vote_matrix,
     sample_dataset,
     scaled_logistic_link,
     tabulated_link,
 )
+from labelsim.estimators import _reduce
 
 
 def _random_dataset(rng, n=40, d=3, m=4):
@@ -40,6 +47,70 @@ def _all_specs(m):
                               logistic_link()][:m])),
         LossSpec(mode=LossMode.CROWD_SCALED, alpha=np.linspace(0.5, 2.0, m)),
     ]
+
+
+def _model_links():
+    grid = np.linspace(-3, 3, 13)
+    # steeper above 0 than below: not symmetric about 1/2
+    skewed = tabulated_link(grid, 0.5 + 0.45 * np.tanh(grid) * np.where(grid > 0, 1.0, 0.5))
+    assert not skewed.symmetric
+    return (logistic_link(), scaled_logistic_link(0.1), scaled_logistic_link(50.0), skewed)
+
+
+def _reference_kernel(spec, Y, u):
+    """Loss, gradient coefficients and Hessian weights from the separate
+    link_antiderivative / link_eval / link_derivative formulas."""
+    n, m = Y.shape
+    if spec.mode in (LossMode.MULTI_LABEL, LossMode.MAJORITY_VOTE):
+        if spec.mode is LossMode.MULTI_LABEL:
+            k, M = (Y == 1).sum(axis=1).astype(float), float(m)
+        else:
+            ybar = majority_vote_matrix(Y, spec.tie_seed, spec.tie_trial)
+            k, M = (ybar + 1.0) / 2.0, 1.0
+        link, scale = spec.model_link, n * M
+        loss = (k * link_antiderivative(link, -u)
+                + (M - k) * link_antiderivative(link, u)).sum() / scale
+        coef = ((M - k) * link_eval(link, u) - k * link_eval(link, -u)) / scale
+        w = (k * link_derivative(link, -u) + (M - k) * link_derivative(link, u)) / scale
+        return loss, coef, w
+    links = (spec.links if spec.mode is LossMode.PER_LABELER
+             else [scaled_logistic_link(a) for a in spec.alpha])
+    loss, coef, w = 0.0, np.zeros(n), np.zeros(n)
+    for j, link in enumerate(links):
+        t = -Y[:, j] * u
+        loss += link_antiderivative(link, t).sum()
+        coef -= Y[:, j] * link_eval(link, t)
+        w += link_derivative(link, t)
+    return loss / (n * m), coef / (n * m), w / (n * m)
+
+
+def test_kernel_matches_separate_link_formulas():
+    # the one-call kernels against the three-call formulas, at margins that
+    # include +-800 (where exp(|t|) overflows) and both signed zeros; sigma'
+    # as s (1 - s) loses its relative accuracy for |t| >~ 20, hence the
+    # absolute floor
+    rng = np.random.default_rng(12)
+    u = np.concatenate([[800.0, -800.0, 0.0, -0.0, 30.0, -30.0, 1e-3, -1e-3],
+                        5.0 * rng.standard_normal(56)])
+    n, m = u.size, 4
+    Y = rng.choice([-1, 1], size=(n, m)).astype(np.int8)
+    Y[:3] = 1  # rows whose labels all agree, so both tails of k appear
+    ds = MultiLabelDataset(X=np.zeros((n, 1)), Y=Y)
+    model_links = _model_links()
+    specs = [LossSpec(mode=LossMode.MULTI_LABEL, model_link=link) for link in model_links]
+    specs += [LossSpec(mode=LossMode.MAJORITY_VOTE, model_link=link, tie_seed=3)
+              for link in model_links]
+    specs += [LossSpec(mode=LossMode.PER_LABELER, links=model_links),
+              LossSpec(mode=LossMode.CROWD_SCALED, alpha=np.array([0.1, 1.0, 50.0, 2.0]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in specs:
+            got = _reduce(spec, ds)(u)
+            want = _reference_kernel(spec, Y, u)
+            for g, w in zip(got, want):
+                g, w = np.asarray(g), np.asarray(w)
+                assert g.shape == w.shape
+                assert np.all(np.abs(g - w) <= np.maximum(1e-13 * np.abs(w), 1e-15)), spec
 
 
 def test_link_loss_logistic_is_shifted_log_loss():

@@ -18,6 +18,7 @@ from labelsim import (
     scaled_logistic_link,
     tabulated_link,
 )
+from labelsim.links import link_terms
 
 
 def test_logistic_basics():
@@ -155,10 +156,15 @@ def test_tabulated_lookup_bins_match_searchsorted():
 def test_tabulated_lookups_are_bit_identical_to_references():
     for grid, values, t in _lookup_cases():
         link = tabulated_link(grid, values)
+        want_value = np.interp(t, grid, values)
+        want_deriv = _reference_derivative(grid, values, t)
+        want_anti = _reference_antiderivative(grid, values, t)
+        # link_terms serves all three from one bin lookup
+        anti, value, deriv = link_terms(link, t)
         cases = (
-            (link_eval(link, t), np.interp(t, grid, values)),
-            (link_derivative(link, t), _reference_derivative(grid, values, t)),
-            (link_antiderivative(link, t), _reference_antiderivative(grid, values, t)),
+            (link_eval(link, t), want_value), (value, want_value),
+            (link_derivative(link, t), want_deriv), (deriv, want_deriv),
+            (link_antiderivative(link, t), want_anti), (anti, want_anti),
         )
         for got, want in cases:
             assert np.array_equal(_bits(got), _bits(want)), grid.size

@@ -238,6 +238,28 @@ def test_chain_fit_with_every_increment_at_a_bound():
         assert np.max(np.abs(x - _bvls_chain_fit(w, target, step))) <= 1e-10
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_empty_bins_are_interpolated_between_fitted_knots(symmetric):
+    # margins at five of the 17 knots leave interior bins empty; their knots
+    # carry no weight, so the fit sets them by linear interpolation between
+    # the nearest knots with data (the centre, at 1/2, counted) and holds
+    # them flat past the outermost one (knots -4 and -3.5 when not symmetric)
+    knots = np.array([-3.0, -1.0, 0.5, 2.5, 4.0])
+    ones = np.array([2, 4, 6, 7, 9])  # of 10 labels at each knot
+    X = np.repeat(knots, 10)[:, None]
+    Y = np.where(np.tile(np.arange(10), 5) < np.repeat(ones, 10), 1, -1)[:, None]
+    opts = IsotonicFitOptions(enforce_symmetry=symmetric, grid_size=16)
+    link, = fit_links(np.array([1.0]), MultiLabelDataset(X=X, Y=Y), opts)
+    _assert_feasible(link, opts)
+    grid, vals = link.grid, link.values
+    has = np.isin(grid, knots) | (grid == 0.0)
+    if symmetric:
+        has |= np.isin(-grid, knots)
+    assert 0 < has.sum() < grid.size
+    want = np.interp(grid, grid[has], vals[has])
+    assert np.max(np.abs(vals - want)) <= 1e-15
+
+
 def test_semiparametric_fit_recovers_direction_and_links():
     model, ds = _logistic_dataset(20_000, 3, seed=6)
     out = semiparametric_fit(ds, split_fraction=0.1)
