@@ -66,7 +66,6 @@ from .semiparam import (
     SemiparametricResult,
     crowdsourced_fit,
     estimate_alpha,
-    fit_links,
     fit_links_with_diagnostics,
     semiparametric_fit,
 )

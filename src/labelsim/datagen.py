@@ -34,11 +34,11 @@ def stream_rng(seed: int, trial: int = 0, purpose: str = "") -> np.random.Genera
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial), tag]))
 
 
-def sample_covariates(dist: CovariateDistribution, n: int, seed, trial: int = 0) -> np.ndarray:
+def sample_covariates(dist: CovariateDistribution, n: int, seed: int, trial: int = 0) -> np.ndarray:
     """Draw n i.i.d. covariate rows; deterministic given (seed, trial)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else stream_rng(seed, trial, "covariates")
+    rng = stream_rng(seed, trial, "covariates")
     if dist.kind is CovariateKind.ISOTROPIC_GAUSSIAN:
         return rng.standard_normal((n, dist.d))
     u = dist.direction
@@ -48,7 +48,7 @@ def sample_covariates(dist: CovariateDistribution, n: int, seed, trial: int = 0)
     return np.outer(z, u) + w
 
 
-def sample_labels(model: ModelSpec, X: np.ndarray, seed, trial: int = 0) -> np.ndarray:
+def sample_labels(model: ModelSpec, X: np.ndarray, seed: int, trial: int = 0) -> np.ndarray:
     """Draw Y_ij = +1 with probability sigma_j(<theta*, x_i>), i.i.d. given X.
 
     One n x m matrix of uniforms is drawn, and Y_ij = +1 where u_ij < p_ij.
@@ -60,7 +60,7 @@ def sample_labels(model: ModelSpec, X: np.ndarray, seed, trial: int = 0) -> np.n
     X = np.asarray(X, dtype=float)
     if X.shape[1] != model.d:
         raise ValueError("covariate dimension mismatch")
-    rng = seed if isinstance(seed, np.random.Generator) else stream_rng(seed, trial, "labels")
+    rng = stream_rng(seed, trial, "labels")
     margins = X @ model.theta_star
     n, m = X.shape[0], model.m
     uniforms = rng.random((n, m))
@@ -85,13 +85,13 @@ def sample_dataset(model: ModelSpec, n: int, seed: int, trial: int = 0) -> Multi
     return MultiLabelDataset(X=X, Y=Y)
 
 
-def majority_vote_matrix(Y: np.ndarray, seed, trial: int = 0) -> np.ndarray:
+def majority_vote_matrix(Y: np.ndarray, seed: int, trial: int = 0) -> np.ndarray:
     """Row-wise majority labels for an n x m label matrix; one coin per tied row."""
     Y = np.asarray(Y)
     sums = Y.sum(axis=1)
     out = np.sign(sums).astype(np.int8)
     ties = out == 0
     if np.any(ties):
-        rng = seed if isinstance(seed, np.random.Generator) else stream_rng(seed, trial, "tiebreak")
+        rng = stream_rng(seed, trial, "tiebreak")
         out[ties] = np.where(rng.random(int(ties.sum())) < 0.5, 1, -1)
     return out

@@ -26,6 +26,8 @@ __all__ = [
     "link_terms_mirrored",
     "CovariateKind",
     "CovariateDistribution",
+    "isotropic_gaussian",
+    "beta_regular",
     "ModelSpec",
     "MultiLabelDataset",
     "FitResult",
@@ -41,7 +43,6 @@ UNIFORM_TOL = 1e-6
 
 
 class LinkFamily(Enum):
-    LOGISTIC = "logistic"
     SCALED_LOGISTIC = "scaled-logistic"
     TABULATED_MONOTONE = "tabulated-monotone"
 
@@ -174,12 +175,9 @@ class _UniformTable:
     def derivative(self, t: np.ndarray) -> np.ndarray:
         return self.slopes_ext[self.bins(t)]
 
-    def antiderivative(self, t: np.ndarray) -> np.ndarray:
-        return self._integral_from_left(t) - self.s0
-
     def terms(self, t: np.ndarray):
-        """antiderivative, eval and derivative of t from one bin lookup,
-        each bit-identical to its own method."""
+        """antiderivative, eval and derivative of t from one bin lookup;
+        eval and derivative are bit-identical to their own methods."""
         j = self.bins(t)
         deriv = self.slopes_ext[j]  # bin -1 (below the grid) has slope 0
         inside = np.clip(t, self.lo, self.hi)
@@ -193,7 +191,8 @@ class _UniformTable:
 
 
 def logistic_link() -> LinkSpec:
-    return LinkSpec(family=LinkFamily.LOGISTIC)
+    """The logistic link, the scaled-logistic link at alpha = 1."""
+    return scaled_logistic_link(1.0)
 
 
 def scaled_logistic_link(alpha: float) -> LinkSpec:
@@ -255,22 +254,14 @@ def group_links(links) -> tuple[list[LinkSpec], np.ndarray]:
     return distinct, index
 
 
-def _softplus(t):
-    # log(1 + e^t) without overflow
-    t = np.asarray(t, dtype=float)
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-
-
 def link_eval(link: LinkSpec, t):
     """Evaluate sigma(t); vectorized, returns values in [0, 1]."""
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if link.family is LinkFamily.LOGISTIC:
-        out = expit(t)
-    elif link.family is LinkFamily.SCALED_LOGISTIC:
-        out = expit(link.alpha * t)
-    else:
+    if link.family is LinkFamily.TABULATED_MONOTONE:
         out = link._table.eval(t)
+    else:
+        out = expit(link.alpha * t)
     return float(out[0]) if scalar else out
 
 
@@ -279,32 +270,25 @@ def link_derivative(link: LinkSpec, t):
     at knots (measure-zero choice)."""
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if link.family is LinkFamily.LOGISTIC:
-        s = expit(t)
-        out = s * (1.0 - s)
-    elif link.family is LinkFamily.SCALED_LOGISTIC:
+    if link.family is LinkFamily.TABULATED_MONOTONE:
+        out = link._table.derivative(t)
+    else:
         s = expit(link.alpha * t)
         out = link.alpha * s * (1.0 - s)
-    else:
-        out = link._table.derivative(t)
     return float(out[0]) if scalar else out
 
 
 def link_antiderivative(link: LinkSpec, t):
-    """S(t) = integral of sigma(v) dv from 0 to t, exact for every family.
+    """S(t) = integral of sigma(v) dv from 0 to t, exact for every family:
+    the first of ``link_terms``.
 
-    Logistic: S(t) = log(1 + e^t) - log 2. Scaled: S(t) = S_lr(alpha t)/alpha.
+    Scaled logistic: S(t) = (log(1 + e^(alpha t)) - log 2) / alpha.
     Tabulated: piecewise-quadratic inside the grid, linear outside (clamped
     endpoint values).
     """
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if link.family is LinkFamily.LOGISTIC:
-        out = _softplus(t) - LOG2
-    elif link.family is LinkFamily.SCALED_LOGISTIC:
-        out = (_softplus(link.alpha * t) - LOG2) / link.alpha
-    else:
-        out = link._table.antiderivative(t)
+    out = link_terms(link, t)[0]
     return float(out[0]) if scalar else out
 
 
@@ -332,9 +316,8 @@ def link_terms_mirrored(link: LinkSpec, t: np.ndarray):
 
 
 def _logistic_terms(link: LinkSpec, t: np.ndarray, mirrored: bool):
-    # in-place steps keep the live n-vectors few; S is summed in
-    # link_antiderivative's order, so it is bit-identical to it
-    alpha = link.alpha if link.family is LinkFamily.SCALED_LOGISTIC else 1.0
+    # in-place steps keep the live n-vectors few
+    alpha = link.alpha
     at = alpha * t
     e = np.abs(at)
     np.negative(e, out=e)

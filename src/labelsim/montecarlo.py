@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import sample_dataset
-from .estimators import LossMode, LossSpec, NonConvergence, SolverOptions, fit
+from .estimators import LossMode, LossSpec, NonConvergence, fit
 from .links import (
     LinkFamily,
     LinkSpec,
@@ -24,7 +24,7 @@ from .semiparam import (
     estimate_alpha,
     semiparametric_fit,
 )
-from .theory import PredictionKind, ZExpectationEngine, predict_covariance
+from .theory import PredictionKind, predict_covariance
 
 __all__ = [
     "TooFewIncludedTrials",
@@ -62,7 +62,6 @@ class ExperimentConfig:
     model_link: LinkSpec = field(default_factory=logistic_link)
     split_fraction: float = 0.1
     isotonic: IsotonicFitOptions = field(default_factory=IsotonicFitOptions)
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
@@ -85,11 +84,11 @@ class TrialSummary:
     u_hats: np.ndarray
     flags: tuple[str, ...]
     empirical_cov: np.ndarray
-    comparison: float | None
+    comparison: float
     excluded_count: int
     included_count: int
     n_effective: int
-    theory: TheoryPrediction | None
+    theory: TheoryPrediction
 
 
 @dataclass(frozen=True)
@@ -99,16 +98,10 @@ class ScalingStudy:
 
 
 def _model_alpha(model: ModelSpec) -> np.ndarray:
-    """Reliabilities implied by scaled-logistic true links (1 for logistic)."""
-    out = []
-    for link in model.links:
-        if link.family is LinkFamily.SCALED_LOGISTIC:
-            out.append(link.alpha)
-        elif link.family is LinkFamily.LOGISTIC:
-            out.append(1.0)
-        else:
-            raise ValueError("crowd theory needs (scaled-)logistic true links")
-    return np.asarray(out)
+    """Reliabilities of scaled-logistic true links (1 for logistic)."""
+    if any(link.family is LinkFamily.TABULATED_MONOTONE for link in model.links):
+        raise ValueError("crowd theory needs (scaled-)logistic true links")
+    return np.asarray([link.alpha for link in model.links])
 
 
 def _run_trial(config: ExperimentConfig, trial: int):
@@ -118,17 +111,15 @@ def _run_trial(config: ExperimentConfig, trial: int):
     try:
         if config.estimator == "multilabel":
             res = fit(LossSpec(mode=LossMode.MULTI_LABEL,
-                               model_link=config.model_link), ds, config.solver)
+                               model_link=config.model_link), ds)
             n_eff = config.n
         elif config.estimator == "majority":
             res = fit(LossSpec(mode=LossMode.MAJORITY_VOTE,
                                model_link=config.model_link,
-                               tie_seed=config.seed, tie_trial=trial),
-                      ds, config.solver)
+                               tie_seed=config.seed, tie_trial=trial), ds)
             n_eff = config.n
         elif config.estimator == "semiparam":
-            sp = semiparametric_fit(ds, config.split_fraction,
-                                    config.isotonic, config.solver)
+            sp = semiparametric_fit(ds, config.split_fraction, config.isotonic)
             if any(sp.diagnostics.degenerate):
                 return None, "degenerate-labeler", 0
             res = sp.fit
@@ -140,7 +131,7 @@ def _run_trial(config: ExperimentConfig, trial: int):
             if np.any(est.separable) or np.any(est.below_floor):
                 return None, "alpha-degenerate", 0
             rest = MultiLabelDataset(X=ds.X[n1:], Y=ds.Y[n1:])
-            res = crowdsourced_fit(rest, est.alpha, config.solver)
+            res = crowdsourced_fit(rest, est.alpha)
             n_eff = config.n - n1
     except NonConvergence:
         return None, "non-convergence", 0
@@ -149,19 +140,10 @@ def _run_trial(config: ExperimentConfig, trial: int):
     return res.u_hat, "", n_eff
 
 
-def _theory_for(config: ExperimentConfig,
-                engine: ZExpectationEngine | None) -> TheoryPrediction:
-    kind = _THEORY_KIND[config.estimator]
-    alpha = _model_alpha(config.model) if kind is PredictionKind.CROWDSOURCING else None
-    return predict_covariance(kind, config.model, engine=engine,
-                              model_link=config.model_link, alpha=alpha)
-
-
-def run_experiment(config: ExperimentConfig,
-                   theory: TheoryPrediction | None = None,
-                   engine: ZExpectationEngine | None = None,
-                   compute_theory: bool = True) -> TrialSummary:
-    """Run config.trials seeded trials and aggregate.
+def run_experiment(config: ExperimentConfig) -> TrialSummary:
+    """Run config.trials seeded trials, aggregate them and compare with the
+    estimator's theory prediction (``predict_covariance`` under the
+    config's model link; for crowd, the true links' reliabilities).
 
     Separable/degenerate/non-convergent trials are excluded and counted;
     raises TooFewIncludedTrials when exclusions exceed the 20% cap.
@@ -189,14 +171,14 @@ def run_experiment(config: ExperimentConfig,
     devs = np.sqrt(n_eff) * (u_rows[included] - u_star)
     emp_cov = devs.T @ devs / len(included)
 
-    if theory is None and compute_theory:
-        theory = _theory_for(config, engine)
-    comparison = None
-    if theory is not None:
-        p_perp = np.eye(d) - np.outer(u_star, u_star)
-        diff = p_perp @ (emp_cov - theory.covariance) @ p_perp
-        ref = p_perp @ theory.covariance @ p_perp
-        comparison = float(np.linalg.norm(diff) / np.linalg.norm(ref))
+    kind = _THEORY_KIND[config.estimator]
+    alpha = _model_alpha(model) if kind is PredictionKind.CROWDSOURCING else None
+    theory = predict_covariance(kind, model, model_link=config.model_link,
+                                alpha=alpha)
+    p_perp = np.eye(d) - np.outer(u_star, u_star)
+    diff = p_perp @ (emp_cov - theory.covariance) @ p_perp
+    ref = p_perp @ theory.covariance @ p_perp
+    comparison = float(np.linalg.norm(diff) / np.linalg.norm(ref))
     return TrialSummary(u_hats=u_rows, flags=tuple(flags), empirical_cov=emp_cov,
                         comparison=comparison, excluded_count=excluded,
                         included_count=len(included), n_effective=n_eff,
@@ -220,10 +202,10 @@ def _replicate_links(links: tuple[LinkSpec, ...], m: int) -> tuple[LinkSpec, ...
     return tuple(links * reps)[:m]
 
 
-def scaling_study(base: ExperimentConfig, m_values,
-                  engine: ZExpectationEngine | None = None) -> ScalingStudy:
+def scaling_study(base: ExperimentConfig, m_values) -> ScalingStudy:
     """Run the base experiment at each labeler count and fit the log-log
-    slope of the empirical multiplier against m.
+    slope of the empirical multiplier against m; each row holds the run's
+    theory prediction (``run_experiment``) beside it.
 
     At each m the base links are cycled to length m (a base of k links gives
     links[i % k] to labeler i), so a k-link base keeps its average true link
@@ -237,12 +219,11 @@ def scaling_study(base: ExperimentConfig, m_values,
                           links=_replicate_links(base.model.links, m),
                           covariates=base.model.covariates)
         config = dataclasses.replace(base, model=model)
-        theory = _theory_for(config, engine)
-        summary = run_experiment(config, theory=theory)
+        summary = run_experiment(config)
         rows.append({
             "m": m,
-            "t_m": theory.t_m,
-            "theory_multiplier": theory.variance_multiplier,
+            "t_m": summary.theory.t_m,
+            "theory_multiplier": summary.theory.variance_multiplier,
             "empirical_multiplier": empirical_multiplier(summary, model),
             "included": summary.included_count,
             "excluded": summary.excluded_count,

@@ -21,9 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
+from scipy.special import expit
 
-from .estimators import LossMode, LossSpec, SolverOptions, fit
-from .links import FitResult, LinkSpec, MultiLabelDataset, link_eval, tabulated_link
+from .estimators import LossMode, LossSpec, fit
+from .links import FitResult, LinkSpec, MultiLabelDataset, tabulated_link
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -31,7 +33,6 @@ __all__ = [
     "LinkFitDiagnostics",
     "SemiparametricResult",
     "AlphaEstimate",
-    "fit_links",
     "fit_links_with_diagnostics",
     "semiparametric_fit",
     "crowdsourced_fit",
@@ -186,7 +187,11 @@ def _fit_single_link(margins: np.ndarray, y01: np.ndarray,
 
 
 def fit_links_with_diagnostics(u_init, dataset: MultiLabelDataset,
-                               opts: IsotonicFitOptions = IsotonicFitOptions()):
+                               opts: IsotonicFitOptions = IsotonicFitOptions()
+                               ) -> tuple[list[LinkSpec], LinkFitDiagnostics]:
+    """Per-labeler monotone-Lipschitz link estimates by constrained least
+    squares on the margins <u_init, X_i>, labels encoded as {0, 1} targets,
+    with the fit's diagnostics."""
     u_init = np.asarray(u_init, dtype=float)
     if abs(np.linalg.norm(u_init) - 1.0) > 1e-8:
         raise ValueError("u_init must be a unit vector")
@@ -208,17 +213,9 @@ def fit_links_with_diagnostics(u_init, dataset: MultiLabelDataset,
     return links, diag
 
 
-def fit_links(u_init, dataset: MultiLabelDataset,
-              opts: IsotonicFitOptions = IsotonicFitOptions()) -> list[LinkSpec]:
-    """Per-labeler monotone-Lipschitz link estimates by constrained least
-    squares on the margins <u_init, X_i>, labels encoded as {0, 1} targets."""
-    links, _ = fit_links_with_diagnostics(u_init, dataset, opts)
-    return links
-
-
 def semiparametric_fit(dataset: MultiLabelDataset, split_fraction: float = 0.1,
-                       opts: IsotonicFitOptions = IsotonicFitOptions(),
-                       solver: SolverOptions = SolverOptions()) -> SemiparametricResult:
+                       opts: IsotonicFitOptions = IsotonicFitOptions()
+                       ) -> SemiparametricResult:
     """Two-stage fit: direction + links on the first split_fraction of rows,
     per-labeler-link ERM refit on the remainder."""
     if not 0.0 < split_fraction < 1.0:
@@ -235,32 +232,28 @@ def semiparametric_fit(dataset: MultiLabelDataset, split_fraction: float = 0.1,
     ds1 = MultiLabelDataset(X=dataset.X[stage1], Y=dataset.Y[stage1])
     ds2 = MultiLabelDataset(X=dataset.X[stage2], Y=dataset.Y[stage2])
 
-    init = fit(LossSpec(mode=LossMode.MULTI_LABEL), ds1, solver)
+    init = fit(LossSpec(mode=LossMode.MULTI_LABEL), ds1)
     u_init = init.u_hat
     links, diag = fit_links_with_diagnostics(u_init, ds1, opts)
 
     refit_spec = LossSpec(mode=LossMode.PER_LABELER, links=tuple(links))
-    result = fit(refit_spec, ds2, solver, theta0=u_init)
+    result = fit(refit_spec, ds2, theta0=u_init)
     return SemiparametricResult(fit=result, links=tuple(links), u_init=u_init,
                                 stage1_index=stage1, stage2_index=stage2,
                                 diagnostics=diag)
 
 
-def crowdsourced_fit(dataset: MultiLabelDataset, alpha_estimate,
-                     solver: SolverOptions = SolverOptions()) -> FitResult:
+def crowdsourced_fit(dataset: MultiLabelDataset, alpha_estimate) -> FitResult:
     """ERM with per-labeler scaled-logistic links at the estimated
     reliabilities; the returned estimate is normalized via FitResult.u_hat."""
     alpha = np.asarray(alpha_estimate, dtype=float)
     spec = LossSpec(mode=LossMode.CROWD_SCALED, alpha=alpha)
-    return fit(spec, dataset, solver)
+    return fit(spec, dataset)
 
 
 def _alpha_score(a: float, margins: np.ndarray, y: np.ndarray) -> float:
     # derivative of the per-labeler logistic log-likelihood in the scalar a
-    from .links import logistic_link
-
-    lr = logistic_link()
-    return float(np.sum(y * margins * link_eval(lr, -y * a * margins)))
+    return float(np.sum(y * margins * expit(-y * a * margins)))
 
 
 def estimate_alpha(dataset: MultiLabelDataset, u_ref) -> AlphaEstimate:
@@ -296,8 +289,6 @@ def estimate_alpha(dataset: MultiLabelDataset, u_ref) -> AlphaEstimate:
         if separable[j]:
             raw[j] = np.sign(s0) * bound
             continue
-        from scipy import optimize
-
         raw[j] = optimize.brentq(
             lambda a: _alpha_score(a, margins, y), lo, hi, xtol=1e-10)
     below = raw < ALPHA_FLOOR

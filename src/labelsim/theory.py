@@ -192,9 +192,9 @@ class ZExpectationEngine:
 def _link_width(link: LinkSpec) -> float:
     """Margin scale over which a link changes; a tabulated link's
     structure is resolved by its kinks instead."""
-    if link.family is LinkFamily.SCALED_LOGISTIC:
-        return 1.0 / link.alpha
-    return 1.0
+    if link.family is LinkFamily.TABULATED_MONOTONE:
+        return 1.0
+    return 1.0 / link.alpha
 
 
 def _link_kinks(links, scale: float) -> tuple[float, ...]:
@@ -279,12 +279,6 @@ def _vote_tails(probs: np.ndarray, counts: np.ndarray):
     if counts.size == 1:
         return _binom_tails(probs[0], int(counts[0]))
     return _poisson_binomial_majority(probs, counts)
-
-
-def majority_plus_prob(t, m: int, true_links):
-    """P(majority vote = +1 | margin = t) under the given true links."""
-    plus, _ = _vote_tails(*_link_probs(_as_links(true_links, m), t))
-    return float(plus[0]) if np.isscalar(t) else plus
 
 
 def rho_m(t, m: int, true_links):
@@ -441,9 +435,9 @@ class GapFunction:
                                       xtol=ROOT_XTOL, rtol=ROOT_RTOL,
                                       full_output=True)
         # majority vote sharpens the labels, so the model link's margin at
-        # the root, alpha t_m, is at least t* (alpha = 1 unless scaled)
+        # the root, alpha t_m, is at least t* (alpha = 1 for a tabulated link)
         sigma = self.model_link
-        alpha = sigma.alpha if sigma.family is LinkFamily.SCALED_LOGISTIC else 1.0
+        alpha = 1.0 if sigma.family is LinkFamily.TABULATED_MONOTONE else sigma.alpha
         if (self.mode is GapMode.MAJORITY_VOTE
                 and alpha * t_m < self.t_star * (1.0 - 1e-6)):
             raise ValueError(
@@ -574,21 +568,21 @@ def _fixed_norm_multiplier(kind: PredictionKind, model: ModelSpec,
     return engine.expect(label_var) / (m * t_star ** 2 * engine.expect(slope) ** 2)
 
 
-def predict_covariance(kind, model: ModelSpec, engine: ZExpectationEngine | None = None,
+def predict_covariance(kind: PredictionKind, model: ModelSpec,
                        model_link: LinkSpec | None = None,
                        alpha=None) -> TheoryPrediction:
     """Asymptotic covariance of sqrt(n)(u_hat - u*) for the requested estimator.
 
     Returns the scalar variance multiplier and the full matrix
     multiplier * (P_perp Sigma P_perp)^+; the multi-label and majority-vote
-    kinds first solve for the population norm t_m of the misspecified fit.
-    Labelers with equal links are one integrand term weighted by their
-    count. The error estimates compare with the coarse rule.
+    kinds first solve for the population norm t_m of the misspecified fit
+    under ``model_link`` (default logistic). ``alpha`` holds the labelers'
+    reliabilities and is required for crowdsourcing only. Every integral
+    uses the default ZExpectationEngine of the model's covariates, resolved
+    to the links. Labelers with equal links are one integrand term weighted
+    by their count. The error estimates compare with the coarse rule.
     """
-    if isinstance(kind, str):
-        kind = PredictionKind(kind)
-    if engine is None:
-        engine = ZExpectationEngine(dist=model.covariates)
+    engine = ZExpectationEngine(dist=model.covariates)
     if model_link is None:
         model_link = logistic_link()
     t_star, m = model.t_star, model.m

@@ -276,7 +276,7 @@ def test_08_crowdsourcing_plugin_multiplier():
     model = _model(3, 1.0, tuple(scaled_logistic_link(a) for a in alphas))
     config = ExperimentConfig(model=model, estimator="crowd", n=40_000,
                               trials=200, split_fraction=0.1)
-    summary = run_experiment(config, compute_theory=False)
+    summary = run_experiment(config)
     emp = empirical_multiplier(summary, model)
 
     engine = ZExpectationEngine(dist=model.covariates)

@@ -4,7 +4,6 @@ from scipy import integrate
 
 from labelsim import (
     CovariateKind,
-    LinkFamily,
     ModelSpec,
     MultiLabelDataset,
     TheoryPrediction,
@@ -18,7 +17,7 @@ from labelsim import (
     scaled_logistic_link,
     tabulated_link,
 )
-from labelsim.links import link_terms
+from labelsim.links import group_links, link_terms
 
 
 def test_logistic_basics():
@@ -40,6 +39,14 @@ def test_scaled_logistic():
     assert np.allclose(link_eval(link, t), link_eval(lr, 3.0 * t), atol=1e-15)
     with pytest.raises(ValueError):
         scaled_logistic_link(-1.0)
+
+
+def test_logistic_is_scaled_logistic_at_alpha_one():
+    lr, scaled = logistic_link(), scaled_logistic_link(1.0)
+    assert lr == scaled
+    distinct, index = group_links([lr, scaled_logistic_link(2.0), scaled, lr])
+    assert distinct == [lr, scaled_logistic_link(2.0)]
+    assert index.tolist() == [0, 1, 0, 0]
 
 
 def test_link_derivative_finite_difference():

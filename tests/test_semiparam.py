@@ -11,7 +11,6 @@ from labelsim import (
     MultiLabelDataset,
     crowdsourced_fit,
     estimate_alpha,
-    fit_links,
     fit_links_with_diagnostics,
     isotropic_gaussian,
     link_eval,
@@ -61,7 +60,7 @@ def _assert_feasible(link, opts):
 def test_fitted_links_satisfy_all_constraints():
     model, ds = _logistic_dataset(3000, 3, seed=1)
     opts = IsotonicFitOptions()
-    links = fit_links(model.u_star, ds, opts)
+    links = fit_links_with_diagnostics(model.u_star, ds, opts)[0]
     assert len(links) == 3
     for link in links:
         _assert_feasible(link, opts)
@@ -70,7 +69,7 @@ def test_fitted_links_satisfy_all_constraints():
 def test_fitted_link_l2_error_small():
     # criterion-7-scale check: 4000 rows recover the logistic link to L2 0.05
     model, ds = _logistic_dataset(4000, 1, seed=2)
-    link = fit_links(model.u_star, ds)[0]
+    link = fit_links_with_diagnostics(model.u_star, ds)[0][0]
     assert _link_l2_error(link, LR) <= 0.05
 
 
@@ -94,7 +93,7 @@ def test_antitone_labels_collapse_to_flat_link():
     X = rng.standard_normal((1000, 1))
     Y = -np.sign(X).astype(int)
     ds = MultiLabelDataset(X=X, Y=Y)
-    link = fit_links(np.array([1.0]), ds)[0]
+    link = fit_links_with_diagnostics(np.array([1.0]), ds)[0][0]
     vals = np.asarray(link.values)
     assert np.max(np.abs(vals - 0.5)) < 0.05
 
@@ -107,7 +106,7 @@ def test_binned_fit_matches_qp_oracle():
     n = 400
     model, ds = _logistic_dataset(n, 1, seed=5)
     opts = IsotonicFitOptions(grid_size=16)  # rounded up to 17 knots
-    link = fit_links(model.u_star, ds, opts)[0]
+    link = fit_links_with_diagnostics(model.u_star, ds, opts)[0][0]
     grid = np.asarray(link.grid)
     vals = np.asarray(link.values)
     delta = grid[1] - grid[0]
@@ -187,7 +186,7 @@ def test_production_grid_fit_meets_kkt(symmetric):
     # optimum, not an iterate stopped short of it
     model, ds = _logistic_dataset(4000, 1, seed=5)
     opts = IsotonicFitOptions(enforce_symmetry=symmetric)
-    link, = fit_links(model.u_star, ds, opts)
+    link, = fit_links_with_diagnostics(model.u_star, ds, opts)[0]
     assert link.grid.size == 513
     _assert_feasible(link, opts)
     y01 = (ds.Y[:, 0] + 1.0) / 2.0
@@ -249,7 +248,8 @@ def test_empty_bins_are_interpolated_between_fitted_knots(symmetric):
     X = np.repeat(knots, 10)[:, None]
     Y = np.where(np.tile(np.arange(10), 5) < np.repeat(ones, 10), 1, -1)[:, None]
     opts = IsotonicFitOptions(enforce_symmetry=symmetric, grid_size=16)
-    link, = fit_links(np.array([1.0]), MultiLabelDataset(X=X, Y=Y), opts)
+    link, = fit_links_with_diagnostics(np.array([1.0]),
+                                       MultiLabelDataset(X=X, Y=Y), opts)[0]
     _assert_feasible(link, opts)
     grid, vals = link.grid, link.values
     has = np.isin(grid, knots) | (grid == 0.0)

@@ -380,7 +380,7 @@ def test_majority_with_tabulated_links(monkeypatch):
     pa, pb = 0.59, 0.62
     # distinct links: Poisson-binomial, at least two of three votes are +1
     expected = pa * (1 - (1 - pb) ** 2) + (1 - pa) * pb ** 2
-    assert theory.majority_plus_prob(0.3, 3, [a, b, b]) == pytest.approx(
+    assert rho_m(0.3, 3, [a, b, b]) == pytest.approx(
         expected, abs=1e-14)
     # both links are symmetric, so rho_m is even in t
     assert rho_m(-0.3, 3, [a, b, b]) == pytest.approx(expected, abs=1e-14)
@@ -392,7 +392,7 @@ def test_majority_with_tabulated_links(monkeypatch):
     monkeypatch.setattr(theory, "_poisson_binomial_majority",
                         no_poisson_binomial)
     copy = tabulated_link(grid.copy(), [0.2, 0.5, 0.8])
-    assert theory.majority_plus_prob(0.3, 3, [a, copy, a]) == pytest.approx(
+    assert rho_m(0.3, 3, [a, copy, a]) == pytest.approx(
         3 * pa ** 2 * (1 - pa) + pa ** 3, abs=1e-14)
 
 
