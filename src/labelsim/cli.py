@@ -252,6 +252,8 @@ def cmd_theory(args) -> int:
     cfg = dict(DEFAULTS)
     cfg.update({
         "m": str(args.m), "d": str(args.d), "t_star": str(args.tstar),
+        # equal to the logistic link at the default --link-alpha 1
+        "link": "scaled-logistic",
         "beta": str(args.beta), "link_alpha": str(args.link_alpha),
         "alpha": args.alpha or "",
         "covariates": args.covariates,

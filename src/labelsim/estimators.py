@@ -20,16 +20,20 @@ A kernel is one call, ``kernel(u) -> (loss, c, w)``: the mean loss, the
 coefficients c of the gradient X^T c and the weights w of the Hessian
 X^T diag(w) X, all from one evaluation of each link (``links.link_terms``,
 which returns S, sigma and sigma' together). The binomial kernel needs the
-link at +u and -u; for the logistic family both come from one
-e = exp(-|alpha u|) and one log1p(e), and a tabulated link costs one bin
-lookup per sign. The per-labeler kernel evaluates each labeler's link once,
-at -Y_ij u_i.
+link at +u and -u. A logistic link is symmetric, S(-u) = S(u) - u,
+sigma(-u) = 1 - sigma(u) and sigma'(-u) = sigma'(u), so one evaluation at u
+gives each row's loss M S(u) - k u, c = M sigma(u) - k and w = M sigma'(u),
+all over n M. A tabulated link is symmetric only to a tolerance, so it is
+evaluated at u and at -u. The per-labeler kernel evaluates each labeler's
+link once, at -Y_ij u_i.
 
-``fit`` reduces the labels to a kernel once, then runs damped Newton until
-the gradient norm reaches ``grad_tol``, theta diverges, no step decreases the
-loss, or the Newton decrement lambda^2 = g^T H^{-1} g falls to the loss's
-round-off (Boyd & Vandenberghe, Convex Optimization, 9.5.1). In the last case
-it takes the full Newton step, whose decrease a line search cannot resolve.
+``fit`` reduces the labels to a kernel and copies X to a contiguous X^T
+once (each Hessian is then one matrix product), then runs damped Newton
+until the gradient norm reaches ``grad_tol``, theta diverges, no step
+decreases the loss, or the Newton decrement lambda^2 = g^T H^{-1} g falls to
+the loss's round-off (Boyd & Vandenberghe, Convex Optimization, 9.5.1). In
+the last case it takes the full Newton step, whose decrease a line search
+cannot resolve.
 """
 
 from __future__ import annotations
@@ -42,11 +46,11 @@ import numpy as np
 from .datagen import majority_vote_matrix
 from .links import (
     FitResult,
+    LinkFamily,
     LinkSpec,
     MultiLabelDataset,
     link_antiderivative,
     link_terms,
-    link_terms_mirrored,
     logistic_link,
     scaled_logistic_link,
 )
@@ -126,21 +130,41 @@ def link_loss(link: LinkSpec, theta, x, y) -> float:
 class _BinomialKernel:
     """k_i of M labels are +1, all under one link, evaluated at +-u.
 
-    ``kernel(u)`` returns (loss, c, w) from one link evaluation at +-u: the
-    mean loss over the n*M labels, c with gradient X^T c, and w with Hessian
-    X^T diag(w) X.
+    ``kernel(u)`` returns (loss, c, w): the mean loss over the n*M labels, c
+    with gradient X^T c, and w with Hessian X^T diag(w) X. A logistic link
+    takes one evaluation at u, a tabulated link one at u and one at -u.
     """
 
     def __init__(self, link: LinkSpec, k: np.ndarray, M: int):
         self.link, self.k, self.M = link, k, float(M)
         self.scale = k.size * self.M
+        self.one_sided = link.family is not LinkFamily.TABULATED_MONOTONE
 
     def __call__(self, u: np.ndarray):
+        if self.one_sided:
+            return self._one_sided(u)
+        return self._two_sided(u)
+
+    def _one_sided(self, u: np.ndarray):
+        # M S(u) - k u, M sigma(u) - k and M sigma'(u), in place
+        k, M, scale = self.k, self.M, self.scale
+        anti, value, deriv = link_terms(self.link, u)
+        loss = float((M * anti.sum() - k @ u) / scale)
+        del anti
+        value *= M
+        value -= k
+        value /= scale
+        deriv *= M
+        deriv /= scale
+        return loss, value, deriv
+
+    def _two_sided(self, u: np.ndarray):
         k, scale = self.k, self.scale
-        (anti, value, deriv), (anti_m, value_m, deriv_m) = link_terms_mirrored(self.link, u)
+        anti, value, deriv = link_terms(self.link, u)
+        anti_m, value_m, deriv_m = link_terms(self.link, -u)
         rest = self.M - k  # labels that are -1
         # k S(-u) + (M - k) S(u), (M - k) sigma(u) - k sigma(-u) and
-        # k sigma'(-u) + (M - k) sigma'(u), in place; deriv_m may be deriv
+        # k sigma'(-u) + (M - k) sigma'(u), in place
         anti_m *= k
         anti *= rest
         anti_m += anti
@@ -233,7 +257,15 @@ def loss_gradient(spec: LossSpec, theta, dataset: MultiLabelDataset) -> np.ndarr
 
 def loss_hessian(spec: LossSpec, theta, dataset: MultiLabelDataset) -> np.ndarray:
     kernel, u = _kernel_and_margins(spec, theta, dataset)
-    return dataset.X.T @ (kernel(u)[2][:, None] * dataset.X)
+    X = dataset.X
+    return _hessian(X, np.ascontiguousarray(X.T), kernel(u)[2])
+
+
+def _hessian(X: np.ndarray, XT: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X^T diag(w) X, given XT, a C-contiguous copy of X^T. Scaling the
+    rows of XT runs along its long contiguous axis, unlike w[:, None] * X,
+    whose inner axis has length d; the product is the same bit for bit."""
+    return X.T @ (XT * w).T
 
 
 def fit(spec: LossSpec, dataset: MultiLabelDataset,
@@ -251,6 +283,7 @@ def fit(spec: LossSpec, dataset: MultiLabelDataset,
     d, X, ridge = dataset.d, dataset.X, opts.ridge
     theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     kernel, u = _kernel_and_margins(spec, theta, dataset)
+    XT = np.ascontiguousarray(X.T)
 
     def evaluate(th, u):
         # loss, gradient and Hessian weights at theta = th, u = X th
@@ -261,7 +294,7 @@ def fit(spec: LossSpec, dataset: MultiLabelDataset,
     iterations = 0
     while (iterations < opts.max_iters and np.linalg.norm(g) > opts.grad_tol
            and np.linalg.norm(theta) <= opts.divergence_threshold):
-        H = X.T @ (w[:, None] * X) + ridge * np.eye(d)
+        H = _hessian(X, XT, w) + ridge * np.eye(d)
         # freed before the candidates allocate theirs (peak memory); the
         # line search binds each candidate's weights to w
         del w

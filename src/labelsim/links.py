@@ -23,7 +23,6 @@ __all__ = [
     "link_derivative",
     "link_antiderivative",
     "link_terms",
-    "link_terms_mirrored",
     "CovariateKind",
     "CovariateDistribution",
     "isotropic_gaussian",
@@ -298,24 +297,19 @@ def link_terms(link: LinkSpec, t: np.ndarray):
     Logistic family: one e = exp(-|alpha t|) gives sigma = 1/(1 + e) or
     e/(1 + e) by the sign of t, S = (max(alpha t, 0) + log1p(e) - log 2)/alpha
     and sigma' = alpha e/(1 + e)^2; e <= 1 never overflows, and sigma' keeps
-    its relative accuracy where s (1 - s) cancels. Tabulated: one bin lookup
-    serves all three, each bit-identical to its own function. The caller
-    owns the returned arrays.
+    its relative accuracy where s (1 - s) cancels. The family is symmetric,
+    S(-t) = S(t) - t, sigma(-t) = 1 - sigma(t) and sigma'(-t) = sigma'(t), so
+    these three also give the terms at -t. Tabulated: one bin lookup serves
+    all three, each bit-identical to its own function; a tabulated link is
+    symmetric only to a tolerance, so -t takes its own call. The caller owns
+    the returned arrays.
     """
     if link.family is LinkFamily.TABULATED_MONOTONE:
         return link._table.terms(t)
-    return _logistic_terms(link, t, mirrored=False)
+    return _logistic_terms(link, t)
 
 
-def link_terms_mirrored(link: LinkSpec, t: np.ndarray):
-    """``link_terms`` at t and at -t. The logistic family computes e and
-    log1p(e) once for both signs, and the two share one sigma' array."""
-    if link.family is LinkFamily.TABULATED_MONOTONE:
-        return link._table.terms(t), link._table.terms(-t)
-    return _logistic_terms(link, t, mirrored=True)
-
-
-def _logistic_terms(link: LinkSpec, t: np.ndarray, mirrored: bool):
+def _logistic_terms(link: LinkSpec, t: np.ndarray):
     # in-place steps keep the live n-vectors few
     alpha = link.alpha
     at = alpha * t
@@ -323,25 +317,17 @@ def _logistic_terms(link: LinkSpec, t: np.ndarray, mirrored: bool):
     np.negative(e, out=e)
     np.exp(e, out=e)
     d = 1.0 + e
-    up = at >= 0
-    value = np.where(up, 1.0, e)
+    # 1 where alpha t >= 0, else e: as 0 <= e <= 1 (NaN passes through),
+    # the maximum is that choice without a branch per element
+    value = np.maximum(e, at >= 0)
     value /= d
-    if mirrored:
-        value_m = np.where(up, e, 1.0)
-        value_m /= d
-        anti_m = np.negative(at)
-        np.maximum(anti_m, 0.0, out=anti_m)
     anti = np.maximum(at, 0.0, out=at)
     deriv = np.multiply(d, d, out=d)
     np.divide(e, deriv, out=deriv)
     deriv *= alpha
-    log_term = np.log1p(e, out=e)
-    for a in ((anti, anti_m) if mirrored else (anti,)):
-        a += log_term
-        a -= LOG2
-        a /= alpha
-    if mirrored:
-        return (anti, value, deriv), (anti_m, value_m, deriv)
+    anti += np.log1p(e, out=e)
+    anti -= LOG2
+    anti /= alpha
     return anti, value, deriv
 
 

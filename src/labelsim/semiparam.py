@@ -226,11 +226,12 @@ def semiparametric_fit(dataset: MultiLabelDataset, split_fraction: float = 0.1,
     stage2 = np.arange(n1, n)
     if stage1.size < d + 1 or stage2.size < d + 1:
         raise ValueError("split leaves fewer than d + 1 rows in a stage")
-    assert np.intersect1d(stage1, stage2).size == 0
-    assert stage1.size + stage2.size == n
+    # two increasing unit-step ranges: [0, n1) and [n1, n) are disjoint and
+    # cover 0..n-1 exactly when their ends meet
+    assert stage1[0] == 0 and stage1[-1] + 1 == stage2[0] and stage2[-1] == n - 1
 
-    ds1 = MultiLabelDataset(X=dataset.X[stage1], Y=dataset.Y[stage1])
-    ds2 = MultiLabelDataset(X=dataset.X[stage2], Y=dataset.Y[stage2])
+    ds1 = MultiLabelDataset(X=dataset.X[:n1], Y=dataset.Y[:n1])
+    ds2 = MultiLabelDataset(X=dataset.X[n1:], Y=dataset.Y[n1:])
 
     init = fit(LossSpec(mode=LossMode.MULTI_LABEL), ds1)
     u_init = init.u_hat

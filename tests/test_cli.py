@@ -3,6 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from labelsim import (
+    ModelSpec,
+    PredictionKind,
+    isotropic_gaussian,
+    predict_covariance,
+    scaled_logistic_link,
+)
 from labelsim.cli import ConfigError, cmd_ingest, main
 
 
@@ -119,6 +126,24 @@ def test_theory_majority_m1_equals_well_specified(tmp_path):
         return float(data[1].split(",")[-1])
 
     assert multiplier(out_mv) == pytest.approx(multiplier(out_ws), abs=1e-9)
+
+
+def test_theory_link_alpha_sets_the_labeler_link(tmp_path):
+    def multiplier(link_alpha):
+        out = str(tmp_path / f"ws{link_alpha}.csv")
+        assert main(["theory", "--kind", "multilabel", "--m", "4", "--d", "3",
+                     "--tstar", "2.0", "--link-alpha", str(link_alpha),
+                     "--output", out]) == 0
+        data = [line for line in open(out).read().splitlines()
+                if not line.startswith("#")]
+        return float(data[1].split(",")[-1])
+
+    model = ModelSpec(theta_star=np.array([2.0, 0.0, 0.0]),
+                      links=(scaled_logistic_link(3.0),) * 4,
+                      covariates=isotropic_gaussian(3))
+    want = predict_covariance(PredictionKind.MULTI_LABEL_EXACT, model)
+    assert multiplier(3.0) == want.variance_multiplier
+    assert multiplier(3.0) != multiplier(1.0)
 
 
 def test_theory_semiparam_row_is_plain_numbers(tmp_path):

@@ -25,7 +25,7 @@ from labelsim import (
     scaled_logistic_link,
     tabulated_link,
 )
-from labelsim.estimators import _reduce
+from labelsim.estimators import _hessian, _reduce
 
 
 def _random_dataset(rng, n=40, d=3, m=4):
@@ -152,6 +152,16 @@ def test_hessian_matches_finite_differences():
             fd = (loss_gradient(spec, theta + e, ds)
                   - loss_gradient(spec, theta - e, ds)) / (2 * h)
             assert np.max(np.abs(H[:, k] - fd)) < 1e-4
+
+
+def test_hessian_helper_is_bit_identical_to_broadcast_form():
+    rng = np.random.default_rng(6)
+    for n, d in ((20000, 5), (36000, 3), (1, 4), (300, 1)):
+        X = rng.standard_normal((n, d))
+        w = rng.random(n)
+        got = _hessian(X, np.ascontiguousarray(X.T), w)
+        want = X.T @ (w[:, None] * X)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, d)
 
 
 def test_crowd_scaled_all_ones_equals_multilabel_logistic():

@@ -17,7 +17,7 @@ from labelsim import (
     scaled_logistic_link,
     tabulated_link,
 )
-from labelsim.links import group_links, link_terms
+from labelsim.links import LOG2, _logistic_terms, group_links, link_terms
 
 
 def test_logistic_basics():
@@ -177,6 +177,32 @@ def test_tabulated_lookups_are_bit_identical_to_references():
             assert np.array_equal(_bits(got), _bits(want)), grid.size
         for x in (0.0, -0.0, float(grid[1])):
             assert link_eval(link, x) == np.interp(x, grid, values)
+
+
+def _where_logistic_terms(alpha, t):
+    # the logistic terms with sigma's numerator chosen by np.where
+    at = alpha * t
+    e = np.exp(-np.abs(at))
+    d = 1.0 + e
+    value = np.where(at >= 0, 1.0, e) / d
+    anti = (np.maximum(at, 0.0) + np.log1p(e) - LOG2) / alpha
+    deriv = e / (d * d) * alpha
+    return anti, value, deriv
+
+
+def test_logistic_terms_are_bit_identical_to_where_formula():
+    # np.maximum(e, alpha t >= 0) in place of np.where: 0 <= e <= 1, so
+    # the two agree bit for bit, signed zeros and NaN included
+    rng = np.random.default_rng(4)
+    t = np.concatenate([
+        [np.nan, 0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e308, -1e308],
+        rng.standard_normal(500) * 10.0 ** rng.uniform(-8, 3, 500)])
+    for alpha in (0.1, 1.0, 50.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _logistic_terms(scaled_logistic_link(alpha), t)
+            want = _where_logistic_terms(alpha, t)
+        for g, w in zip(got, want):
+            assert np.array_equal(_bits(g), _bits(w)), alpha
 
 
 def test_tabulated_grid_must_be_uniform():
