@@ -68,6 +68,7 @@ from .semiparam import (
     estimate_alpha,
     fit_links_with_diagnostics,
     semiparametric_fit,
+    split_stages,
 )
 from .montecarlo import (
     ExperimentConfig,

@@ -108,8 +108,11 @@ def _cfg_float(cfg, key):
         raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from exc
 
 
-def _make_link(kind: str, alpha: float) -> LinkSpec:
+def _make_link(kind: str, alpha: float, key: str) -> LinkSpec:
     if kind == "logistic":
+        if alpha != 1.0:
+            raise ConfigError(f"{key}=logistic is the alpha = 1 link; "
+                              f"use scaled-logistic for {key}_alpha={alpha!r}")
         return logistic_link()
     if kind == "scaled-logistic":
         return scaled_logistic_link(alpha)
@@ -128,8 +131,8 @@ def _build_model(cfg: dict) -> ModelSpec:
         alphas = [float(a) for a in cfg["alpha"].split(",")]
         links = tuple(scaled_logistic_link(a) for a in alphas)
     else:
-        links = tuple(_make_link(cfg["link"], _cfg_float(cfg, "link_alpha"))
-                      for _ in range(m))
+        link = _make_link(cfg["link"], _cfg_float(cfg, "link_alpha"), "link")
+        links = (link,) * m
     if cfg["covariates"] == "gaussian":
         dist = isotropic_gaussian(d)
     elif cfg["covariates"] == "beta-regular":
@@ -180,7 +183,8 @@ def cmd_simulate(config_path: str, output: str | None = None) -> int:
         n=_cfg_int(cfg, "n"),
         trials=_cfg_int(cfg, "trials"),
         seed=_cfg_int(cfg, "seed"),
-        model_link=_make_link(cfg["model_link"], _cfg_float(cfg, "model_link_alpha")),
+        model_link=_make_link(cfg["model_link"], _cfg_float(cfg, "model_link_alpha"),
+                              "model_link"),
         split_fraction=_cfg_float(cfg, "split_fraction"),
         isotonic=IsotonicFitOptions(lipschitz=_cfg_float(cfg, "lipschitz"),
                                     grid_size=_cfg_int(cfg, "grid_size")),
@@ -263,12 +267,7 @@ def cmd_theory(args) -> int:
               file=sys.stderr)
         return 2
     model = _build_model(cfg)
-    kind = _KIND_NAMES[args.kind]
-    alpha = None
-    if kind is PredictionKind.CROWDSOURCING:
-        alpha = ([float(a) for a in args.alpha.split(",")] if args.alpha
-                 else [1.0] * model.m)
-    pred = predict_covariance(kind, model, alpha=alpha)
+    pred = predict_covariance(_KIND_NAMES[args.kind], model)
     _write_lines(args.output, [
         f"# schema_version={SCHEMA_VERSION}",
         "kind,m,t_star,t_m,multiplier",

@@ -11,10 +11,12 @@ each way has its own loss kernel over the margins u = X theta:
                M = m; MajorityVote counts the row's majority label (seeded
                fair tie-break) out of M = 1.
   per-labeler  labeler j has its own link, evaluated at -Y_ij u_i.
-               PerLabelerLinks takes the links as given (the semiparametric
-               refit); CrowdScaled builds the scaled-logistic links
-               sigma(t) = 1/(1 + exp(-alpha_j t)), which at alpha = 1 give
-               the plain multi-label logistic loss.
+               PerLabelerLinks and CrowdScaled both take the links as given:
+               the semiparametric refit's fitted links, or the crowd
+               plug-in's scaled-logistic links
+               sigma(t) = 1/(1 + exp(-alpha_j t)) at the estimated
+               reliabilities, which at alpha = 1 give the plain multi-label
+               logistic loss.
 
 A kernel is one call, ``kernel(u) -> (loss, c, w)``: the mean loss, the
 coefficients c of the gradient X^T c and the weights w of the Hessian
@@ -52,7 +54,6 @@ from .links import (
     link_antiderivative,
     link_terms,
     logistic_link,
-    scaled_logistic_link,
 )
 
 __all__ = [
@@ -85,7 +86,13 @@ class LossMode(Enum):
     MULTI_LABEL = "multilabel"
     MAJORITY_VOTE = "majority"
     PER_LABELER = "per-labeler"
+    # the same loss as PER_LABELER; a mode of its own only so that the
+    # benchmark tracer (perfbench/tracing.py, FIT_MODES) can count crowd fits
+    # apart from semiparametric refits
     CROWD_SCALED = "crowd-scaled"
+
+
+_PER_LABELER_MODES = (LossMode.PER_LABELER, LossMode.CROWD_SCALED)
 
 
 @dataclass(frozen=True)
@@ -93,20 +100,14 @@ class LossSpec:
     mode: LossMode
     model_link: LinkSpec = field(default_factory=logistic_link)
     links: tuple[LinkSpec, ...] | None = None
-    alpha: np.ndarray | None = None
     tie_seed: int = 0
     tie_trial: int = 0
 
     def __post_init__(self):
-        if self.mode is LossMode.PER_LABELER:
+        if self.mode in _PER_LABELER_MODES:
             if not self.links:
-                raise ValueError("PerLabelerLinks mode needs a link per labeler")
+                raise ValueError(f"{self.mode.value} mode needs a link per labeler")
             object.__setattr__(self, "links", tuple(self.links))
-        if self.mode is LossMode.CROWD_SCALED:
-            alpha = np.asarray(self.alpha, dtype=float)
-            if alpha.ndim != 1 or np.any(alpha <= 0):
-                raise ValueError("CrowdScaled alpha entries must be positive")
-            object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True)
@@ -219,10 +220,8 @@ def _check_dims(spec: LossSpec, theta: np.ndarray, dataset: MultiLabelDataset):
     if theta.shape != (dataset.d,):
         raise DimensionMismatch(
             f"theta has shape {theta.shape}, expected ({dataset.d},)")
-    if spec.mode is LossMode.PER_LABELER and len(spec.links) != dataset.m:
+    if spec.mode in _PER_LABELER_MODES and len(spec.links) != dataset.m:
         raise DimensionMismatch("need one link per labeler column")
-    if spec.mode is LossMode.CROWD_SCALED and spec.alpha.size != dataset.m:
-        raise DimensionMismatch("need one alpha per labeler column")
 
 
 def _reduce(spec: LossSpec, dataset: MultiLabelDataset):
@@ -234,8 +233,6 @@ def _reduce(spec: LossSpec, dataset: MultiLabelDataset):
     if spec.mode is LossMode.MAJORITY_VOTE:
         ybar = majority_vote_matrix(Y, spec.tie_seed, spec.tie_trial)
         return _BinomialKernel(spec.model_link, (ybar.astype(float) + 1.0) / 2.0, 1)
-    if spec.mode is LossMode.CROWD_SCALED:
-        return _PerLabelerKernel(tuple(scaled_logistic_link(a) for a in spec.alpha), Y)
     return _PerLabelerKernel(spec.links, Y)
 
 

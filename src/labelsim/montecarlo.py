@@ -10,19 +10,13 @@ import numpy as np
 
 from .datagen import sample_dataset
 from .estimators import LossMode, LossSpec, NonConvergence, fit
-from .links import (
-    LinkFamily,
-    LinkSpec,
-    ModelSpec,
-    MultiLabelDataset,
-    TheoryPrediction,
-    logistic_link,
-)
+from .links import LinkSpec, ModelSpec, TheoryPrediction, logistic_link
 from .semiparam import (
     IsotonicFitOptions,
     crowdsourced_fit,
     estimate_alpha,
     semiparametric_fit,
+    split_stages,
 )
 from .theory import PredictionKind, predict_covariance
 
@@ -97,13 +91,6 @@ class ScalingStudy:
     slope: float
 
 
-def _model_alpha(model: ModelSpec) -> np.ndarray:
-    """Reliabilities of scaled-logistic true links (1 for logistic)."""
-    if any(link.family is LinkFamily.TABULATED_MONOTONE for link in model.links):
-        raise ValueError("crowd theory needs (scaled-)logistic true links")
-    return np.asarray([link.alpha for link in model.links])
-
-
 def _run_trial(config: ExperimentConfig, trial: int):
     """One seeded trial; returns (u_hat, flag, n_eff)."""
     model = config.model
@@ -125,14 +112,12 @@ def _run_trial(config: ExperimentConfig, trial: int):
             res = sp.fit
             n_eff = sp.stage2_index.size
         else:  # crowd
-            n1 = int(np.ceil(config.split_fraction * config.n))
-            est = estimate_alpha(
-                MultiLabelDataset(X=ds.X[:n1], Y=ds.Y[:n1]), model.u_star)
+            ds1, ds2 = split_stages(ds, config.split_fraction)
+            est = estimate_alpha(ds1, model.u_star)
             if np.any(est.separable) or np.any(est.below_floor):
                 return None, "alpha-degenerate", 0
-            rest = MultiLabelDataset(X=ds.X[n1:], Y=ds.Y[n1:])
-            res = crowdsourced_fit(rest, est.alpha)
-            n_eff = config.n - n1
+            res = crowdsourced_fit(ds2, est.alpha)
+            n_eff = ds2.n
     except NonConvergence:
         return None, "non-convergence", 0
     if res.separable:
@@ -142,8 +127,9 @@ def _run_trial(config: ExperimentConfig, trial: int):
 
 def run_experiment(config: ExperimentConfig) -> TrialSummary:
     """Run config.trials seeded trials, aggregate them and compare with the
-    estimator's theory prediction (``predict_covariance`` under the
-    config's model link; for crowd, the true links' reliabilities).
+    estimator's theory prediction (``predict_covariance`` of the model under
+    the config's model link; crowd reads its reliabilities from the model's
+    scaled-logistic true links).
 
     Separable/degenerate/non-convergent trials are excluded and counted;
     raises TooFewIncludedTrials when exclusions exceed the 20% cap.
@@ -171,10 +157,8 @@ def run_experiment(config: ExperimentConfig) -> TrialSummary:
     devs = np.sqrt(n_eff) * (u_rows[included] - u_star)
     emp_cov = devs.T @ devs / len(included)
 
-    kind = _THEORY_KIND[config.estimator]
-    alpha = _model_alpha(model) if kind is PredictionKind.CROWDSOURCING else None
-    theory = predict_covariance(kind, model, model_link=config.model_link,
-                                alpha=alpha)
+    theory = predict_covariance(_THEORY_KIND[config.estimator], model,
+                                model_link=config.model_link)
     p_perp = np.eye(d) - np.outer(u_star, u_star)
     diff = p_perp @ (emp_cov - theory.covariance) @ p_perp
     ref = p_perp @ theory.covariance @ p_perp

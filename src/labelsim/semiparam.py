@@ -25,7 +25,13 @@ from scipy import optimize
 from scipy.special import expit
 
 from .estimators import LossMode, LossSpec, fit
-from .links import FitResult, LinkSpec, MultiLabelDataset, tabulated_link
+from .links import (
+    FitResult,
+    LinkSpec,
+    MultiLabelDataset,
+    scaled_logistic_link,
+    tabulated_link,
+)
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -34,6 +40,7 @@ __all__ = [
     "SemiparametricResult",
     "AlphaEstimate",
     "fit_links_with_diagnostics",
+    "split_stages",
     "semiparametric_fit",
     "crowdsourced_fit",
     "estimate_alpha",
@@ -213,26 +220,26 @@ def fit_links_with_diagnostics(u_init, dataset: MultiLabelDataset,
     return links, diag
 
 
+def split_stages(dataset: MultiLabelDataset, split_fraction: float
+                 ) -> tuple[MultiLabelDataset, MultiLabelDataset]:
+    """The first ceil(split_fraction * n) rows (stage 1) and the rest
+    (stage 2). Raises ValueError unless split_fraction lies in (0, 1) and
+    each stage keeps at least d + 1 rows."""
+    if not 0.0 < split_fraction < 1.0:
+        raise ValueError("split_fraction must lie in (0, 1)")
+    n1 = int(np.ceil(split_fraction * dataset.n))
+    if min(n1, dataset.n - n1) < dataset.d + 1:
+        raise ValueError("split leaves fewer than d + 1 rows in a stage")
+    return (MultiLabelDataset(X=dataset.X[:n1], Y=dataset.Y[:n1]),
+            MultiLabelDataset(X=dataset.X[n1:], Y=dataset.Y[n1:]))
+
+
 def semiparametric_fit(dataset: MultiLabelDataset, split_fraction: float = 0.1,
                        opts: IsotonicFitOptions = IsotonicFitOptions()
                        ) -> SemiparametricResult:
     """Two-stage fit: direction + links on the first split_fraction of rows,
-    per-labeler-link ERM refit on the remainder."""
-    if not 0.0 < split_fraction < 1.0:
-        raise ValueError("split_fraction must lie in (0, 1)")
-    n, d = dataset.n, dataset.d
-    n1 = int(np.ceil(split_fraction * n))
-    stage1 = np.arange(n1)
-    stage2 = np.arange(n1, n)
-    if stage1.size < d + 1 or stage2.size < d + 1:
-        raise ValueError("split leaves fewer than d + 1 rows in a stage")
-    # two increasing unit-step ranges: [0, n1) and [n1, n) are disjoint and
-    # cover 0..n-1 exactly when their ends meet
-    assert stage1[0] == 0 and stage1[-1] + 1 == stage2[0] and stage2[-1] == n - 1
-
-    ds1 = MultiLabelDataset(X=dataset.X[:n1], Y=dataset.Y[:n1])
-    ds2 = MultiLabelDataset(X=dataset.X[n1:], Y=dataset.Y[n1:])
-
+    per-labeler-link ERM refit on the remainder (``split_stages``)."""
+    ds1, ds2 = split_stages(dataset, split_fraction)
     init = fit(LossSpec(mode=LossMode.MULTI_LABEL), ds1)
     u_init = init.u_hat
     links, diag = fit_links_with_diagnostics(u_init, ds1, opts)
@@ -240,16 +247,18 @@ def semiparametric_fit(dataset: MultiLabelDataset, split_fraction: float = 0.1,
     refit_spec = LossSpec(mode=LossMode.PER_LABELER, links=tuple(links))
     result = fit(refit_spec, ds2, theta0=u_init)
     return SemiparametricResult(fit=result, links=tuple(links), u_init=u_init,
-                                stage1_index=stage1, stage2_index=stage2,
+                                stage1_index=np.arange(ds1.n),
+                                stage2_index=np.arange(ds1.n, dataset.n),
                                 diagnostics=diag)
 
 
 def crowdsourced_fit(dataset: MultiLabelDataset, alpha_estimate) -> FitResult:
-    """ERM with per-labeler scaled-logistic links at the estimated
-    reliabilities; the returned estimate is normalized via FitResult.u_hat."""
-    alpha = np.asarray(alpha_estimate, dtype=float)
-    spec = LossSpec(mode=LossMode.CROWD_SCALED, alpha=alpha)
-    return fit(spec, dataset)
+    """ERM with the per-labeler links scaled_logistic_link(a), one for each
+    estimated reliability a; the returned estimate is normalized via
+    FitResult.u_hat."""
+    links = tuple(scaled_logistic_link(a)
+                  for a in np.asarray(alpha_estimate, dtype=float))
+    return fit(LossSpec(mode=LossMode.CROWD_SCALED, links=links), dataset)
 
 
 def _alpha_score(a: float, margins: np.ndarray, y: np.ndarray) -> float:

@@ -539,19 +539,16 @@ def _majority_multiplier(g: GapFunction, t: float) -> float:
 
 
 def _fixed_norm_multiplier(kind: PredictionKind, model: ModelSpec,
-                           engine: ZExpectationEngine, reliabilities) -> float:
-    """Multiplier of the kinds whose norm is t* itself; ``reliabilities`` is
-    (distinct alphas, counts) for crowdsourcing."""
+                           engine: ZExpectationEngine) -> float:
+    """Multiplier of the kinds whose norm is t* itself: the per-labeler link
+    formula E[sum_j p_j (1 - p_j)] / (t*^2 E[sum_j sigma_j'(t* Z)]^2) with
+    p_j = sigma_j(t* Z); well-specified takes the first labeler's terms.
+
+    Semiparametric and crowdsourcing both fit with the true links (estimated
+    consistently), whose loss has gradient coefficients of variance
+    p_j (1 - p_j) and Hessian weights sigma_j'; for a scaled-logistic link
+    sigma_j' = alpha_j p_j (1 - p_j), so variance and Hessian differ."""
     t_star, m = model.t_star, model.m
-    if kind is PredictionKind.CROWDSOURCING:
-        alphas, counts = reliabilities
-        lr = logistic_link()
-
-        def info(z):
-            s = link_eval(lr, np.outer(alphas, t_star * z))
-            return counts @ (s * (1.0 - s))
-
-        return 1.0 / (t_star ** 2 * engine.expect(info))
     distinct, index = group_links(model.links)
     counts = np.bincount(index)
     if kind is PredictionKind.WELL_SPECIFIED:
@@ -569,18 +566,19 @@ def _fixed_norm_multiplier(kind: PredictionKind, model: ModelSpec,
 
 
 def predict_covariance(kind: PredictionKind, model: ModelSpec,
-                       model_link: LinkSpec | None = None,
-                       alpha=None) -> TheoryPrediction:
+                       model_link: LinkSpec | None = None) -> TheoryPrediction:
     """Asymptotic covariance of sqrt(n)(u_hat - u*) for the requested estimator.
 
     Returns the scalar variance multiplier and the full matrix
     multiplier * (P_perp Sigma P_perp)^+; the multi-label and majority-vote
     kinds first solve for the population norm t_m of the misspecified fit
-    under ``model_link`` (default logistic). ``alpha`` holds the labelers'
-    reliabilities and is required for crowdsourcing only. Every integral
-    uses the default ZExpectationEngine of the model's covariates, resolved
-    to the links. Labelers with equal links are one integrand term weighted
-    by their count. The error estimates compare with the coarse rule.
+    under ``model_link`` (default logistic). Crowdsourcing reads each
+    labeler's reliability from its scaled-logistic true link and equals
+    semiparametric on the same model; tabulated true links raise
+    ``ValueError``. Every integral uses the default ZExpectationEngine of
+    the model's covariates, resolved to the links. Labelers with equal links
+    are one integrand term weighted by their count. The error estimates
+    compare with the coarse rule.
     """
     engine = ZExpectationEngine(dist=model.covariates)
     if model_link is None:
@@ -604,19 +602,12 @@ def predict_covariance(kind: PredictionKind, model: ModelSpec,
         iterations = g.root[1]
     elif kind in (PredictionKind.WELL_SPECIFIED, PredictionKind.SEMIPARAMETRIC,
                   PredictionKind.CROWDSOURCING):
-        reliabilities = None
-        if kind is PredictionKind.CROWDSOURCING:
-            if alpha is None:
-                raise ValueError("Crowdsourcing prediction needs alpha")
-            alpha = np.asarray(alpha, dtype=float)
-            if alpha.size != m or np.any(alpha <= 0):
-                raise ValueError("alpha must be a positive m-vector")
-            reliabilities = np.unique(alpha, return_counts=True)
-            engine = engine.resolve(1.0 / (alpha.max() * t_star))
-        else:
-            engine = _resolve_for_links(engine, group_links(model.links)[0], t_star)
-        mult = _fixed_norm_multiplier(kind, model, engine, reliabilities)
-        coarse = _fixed_norm_multiplier(kind, model, engine.coarse(), reliabilities)
+        if kind is PredictionKind.CROWDSOURCING and any(
+                link.family is LinkFamily.TABULATED_MONOTONE for link in model.links):
+            raise ValueError("crowd theory needs (scaled-)logistic true links")
+        engine = _resolve_for_links(engine, group_links(model.links)[0], t_star)
+        mult = _fixed_norm_multiplier(kind, model, engine)
+        coarse = _fixed_norm_multiplier(kind, model, engine.coarse())
         t_m, t_m_error, iterations = t_star, 0.0, 0
     else:
         raise ValueError(f"unknown prediction kind: {kind}")

@@ -101,8 +101,8 @@ def test_02_gradients_and_hessians_match_finite_differences():
         ("per-labeler", 3, LossSpec(
             mode=LossMode.PER_LABELER,
             links=(tab, LR, scaled_logistic_link(0.7)))),
-        ("crowd", 3, LossSpec(mode=LossMode.CROWD_SCALED,
-                              alpha=np.array([0.5, 1.0, 2.0]))),
+        ("crowd", 3, LossSpec(mode=LossMode.CROWD_SCALED, links=tuple(
+            scaled_logistic_link(a) for a in (0.5, 1.0, 2.0)))),
     ]
     d, h_g, h_h = 3, 1e-6, 1e-5
     worst_g = worst_h = 0.0

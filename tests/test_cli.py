@@ -146,6 +146,34 @@ def test_theory_link_alpha_sets_the_labeler_link(tmp_path):
     assert multiplier(3.0) != multiplier(1.0)
 
 
+def _theory_multiplier(tmp_path, name, *args):
+    out = str(tmp_path / f"{name}.csv")
+    assert main(["theory", *args, "--output", out]) == 0
+    data = [line for line in open(out).read().splitlines()
+            if not line.startswith("#")]
+    return data[1].split(",")[-1]
+
+
+def test_theory_crowd_link_alpha_equals_alpha_list(tmp_path):
+    # both set three scaled-logistic(3) true links, whose reliabilities the
+    # crowd prediction reads
+    by_link_alpha = _theory_multiplier(tmp_path, "la", "--kind", "crowd", "--m", "3",
+                                       "--link-alpha", "3.0")
+    by_list = _theory_multiplier(tmp_path, "al", "--kind", "crowd",
+                                 "--alpha", "3,3,3")
+    assert by_link_alpha == by_list
+    assert by_link_alpha != _theory_multiplier(tmp_path, "one", "--kind", "crowd",
+                                               "--m", "3")
+
+
+@pytest.mark.parametrize("key", ["link", "model_link"])
+def test_logistic_with_alpha_other_than_one_is_config_error(tmp_path, capsys, key):
+    config = _minimal_config(tmp_path, str(tmp_path / "out.csv"),
+                             extra=f"{key}=logistic\n{key}_alpha=3.0")
+    assert main(["simulate", config]) == 2
+    assert f"{key}_alpha=3.0" in capsys.readouterr().err
+
+
 def test_theory_semiparam_row_is_plain_numbers(tmp_path):
     out = str(tmp_path / "sp.csv")
     assert main(["theory", "--kind", "semiparam", "--m", "3",

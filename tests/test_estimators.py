@@ -45,7 +45,8 @@ def _all_specs(m):
         LossSpec(mode=LossMode.PER_LABELER,
                  links=tuple([tab, logistic_link(), scaled_logistic_link(0.5),
                               logistic_link()][:m])),
-        LossSpec(mode=LossMode.CROWD_SCALED, alpha=np.linspace(0.5, 2.0, m)),
+        LossSpec(mode=LossMode.CROWD_SCALED,
+                 links=tuple(scaled_logistic_link(a) for a in np.linspace(0.5, 2.0, m))),
     ]
 
 
@@ -73,10 +74,8 @@ def _reference_kernel(spec, Y, u):
         coef = ((M - k) * link_eval(link, u) - k * link_eval(link, -u)) / scale
         w = (k * link_derivative(link, -u) + (M - k) * link_derivative(link, u)) / scale
         return loss, coef, w
-    links = (spec.links if spec.mode is LossMode.PER_LABELER
-             else [scaled_logistic_link(a) for a in spec.alpha])
     loss, coef, w = 0.0, np.zeros(n), np.zeros(n)
-    for j, link in enumerate(links):
+    for j, link in enumerate(spec.links):
         t = -Y[:, j] * u
         loss += link_antiderivative(link, t).sum()
         coef -= Y[:, j] * link_eval(link, t)
@@ -101,7 +100,8 @@ def test_kernel_matches_separate_link_formulas():
     specs += [LossSpec(mode=LossMode.MAJORITY_VOTE, model_link=link, tie_seed=3)
               for link in model_links]
     specs += [LossSpec(mode=LossMode.PER_LABELER, links=model_links),
-              LossSpec(mode=LossMode.CROWD_SCALED, alpha=np.array([0.1, 1.0, 50.0, 2.0]))]
+              LossSpec(mode=LossMode.CROWD_SCALED,
+                       links=tuple(scaled_logistic_link(a) for a in (0.1, 1.0, 50.0, 2.0)))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for spec in specs:
@@ -168,7 +168,7 @@ def test_crowd_scaled_all_ones_equals_multilabel_logistic():
     rng = np.random.default_rng(4)
     ds = _random_dataset(rng, m=3)
     theta = rng.standard_normal(ds.d)
-    crowd = LossSpec(mode=LossMode.CROWD_SCALED, alpha=np.ones(3))
+    crowd = LossSpec(mode=LossMode.CROWD_SCALED, links=(scaled_logistic_link(1.0),) * 3)
     multi = LossSpec(mode=LossMode.MULTI_LABEL)
     assert np.allclose(loss_gradient(crowd, theta, ds),
                        loss_gradient(multi, theta, ds), atol=1e-12)
@@ -186,11 +186,14 @@ def test_dimension_checks():
                             links=(logistic_link(),)), np.zeros(ds.d), ds)
     with pytest.raises(DimensionMismatch):
         loss_value(LossSpec(mode=LossMode.CROWD_SCALED,
-                            alpha=np.ones(2)), np.zeros(ds.d), ds)
+                            links=(scaled_logistic_link(1.0),) * 2), np.zeros(ds.d), ds)
     with pytest.raises(ValueError):
         LossSpec(mode=LossMode.PER_LABELER)
     with pytest.raises(ValueError):
-        LossSpec(mode=LossMode.CROWD_SCALED, alpha=np.array([1.0, -1.0]))
+        LossSpec(mode=LossMode.CROWD_SCALED)
+    with pytest.raises(ValueError):
+        LossSpec(mode=LossMode.CROWD_SCALED,
+                 links=tuple(scaled_logistic_link(a) for a in (1.0, -1.0)))
 
 
 def test_fit_recovers_direction():

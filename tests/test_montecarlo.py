@@ -98,6 +98,17 @@ def test_config_validation():
         _config(estimator="unknown")
 
 
+@pytest.mark.parametrize("split_fraction", [0.0, 1e-9])
+def test_crowd_split_is_validated_like_semiparam(split_fraction):
+    # an empty or (d + 1)-short stage 1 is a configuration error for both
+    # two-stage pipelines, not a run of excluded trials
+    for estimator in ("semiparam", "crowd"):
+        config = _config(n=2000, trials=2, m=3, estimator=estimator,
+                         split_fraction=split_fraction)
+        with pytest.raises(ValueError, match="split"):
+            run_experiment(config)
+
+
 def test_majority_estimator_runs():
     summary = run_experiment(_config(n=5000, trials=50, m=3,
                                      estimator="majority"))

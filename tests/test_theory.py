@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, optimize, special, stats
 
 from labelsim import theory
+from labelsim.estimators import _reduce
 
 from labelsim import (
     BracketNotFound,
@@ -15,6 +16,8 @@ from labelsim import (
     DivergentIntegral,
     GapFunction,
     GapMode,
+    LossMode,
+    LossSpec,
     ModelSpec,
     NotOrthogonal,
     PredictionKind,
@@ -34,6 +37,7 @@ from labelsim import (
     predict_covariance,
     pseudo_inverse_decomp,
     rho_m,
+    sample_dataset,
     scaled_logistic_link,
     solve_tm,
     tabulated_link,
@@ -140,7 +144,7 @@ def _oracle_vote_plus(probs):
     return sum(dist[k + 1:]) + tie
 
 
-def _oracle_prediction(kind, model, alpha=None, t_hint=None, sigma=LR):
+def _oracle_prediction(kind, model, t_hint=None, sigma=LR):
     """(t_m, multiplier) from the per-labeler formulas, every expectation by
     adaptive quadrature and t_m by Brent's method to 1e-13 inside
     t_hint * (1 -+ 1e-3); brentq fails unless the gap changes sign there.
@@ -161,12 +165,7 @@ def _oracle_prediction(kind, model, alpha=None, t_hint=None, sigma=LR):
     def probs(z):
         return [float(link_eval(link, t_star * z)) for link in links]
 
-    if kind is PredictionKind.CROWDSOURCING:
-        total = sum(expect(lambda z, a=a: float(link_eval(LR, a * t_star * z)
-                                                * link_eval(LR, -a * t_star * z)))
-                    for a in alpha)
-        return t_star, 1.0 / (t_star ** 2 * total)
-    if kind is PredictionKind.SEMIPARAMETRIC:
+    if kind in (PredictionKind.SEMIPARAMETRIC, PredictionKind.CROWDSOURCING):
         nums = [expect(lambda z, link=link: float(
             link_eval(link, t_star * z) * (1.0 - link_eval(link, t_star * z))))
             for link in links]
@@ -248,29 +247,29 @@ def test_quadrature_matches_large_monte_carlo():
 def _oracle_cases():
     u = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
     rel = (0.5, 1.0, 2.0)
-    cases = [(PredictionKind.MAJORITY_VOTE_EXACT, _model(2.0, m, d=5), None)
+    cases = [(PredictionKind.MAJORITY_VOTE_EXACT, _model(2.0, m, d=5))
              for m in (1, 4, 16, 64, 1024)]
     cases += [(PredictionKind.MAJORITY_VOTE_EXACT,
                ModelSpec(theta_star=2.0 * u, links=(LR,) * 64,
-                         covariates=beta_regular(5, beta, u)), None)
+                         covariates=beta_regular(5, beta, u)))
               for beta in (0.5, 2.0)]
     cases += [(PredictionKind.MAJORITY_VOTE_EXACT,
                _model(2.0, m, d=5, links=tuple(
-                   scaled_logistic_link(a) for a in rel * (m // 3))), None)
+                   scaled_logistic_link(a) for a in rel * (m // 3))))
               for m in (9, 33)]
     cases += [(PredictionKind.MULTI_LABEL_EXACT,
                _model(2.0, m, links=tuple(scaled_logistic_link(a)
-                                          for a in ([0.2, 10.0] * m)[:m])), None)
+                                          for a in ([0.2, 10.0] * m)[:m])))
               for m in (2, 16, 64)]
     grid = np.linspace(-3.0, 3.0, 13)
     tab = tuple(tabulated_link(grid, 0.5 + 0.5 * np.tanh(a * grid))
                 for a in (0.5, 1.0, 2.0))
-    cases.append((PredictionKind.SEMIPARAMETRIC, _model(1.0, 6, links=tab * 2), None))
+    cases.append((PredictionKind.SEMIPARAMETRIC, _model(1.0, 6, links=tab * 2)))
     crowd = tuple(scaled_logistic_link(a) for a in rel)
-    cases.append((PredictionKind.CROWDSOURCING, _model(1.0, 3, links=crowd), rel))
-    cases = [(kind, model, alpha, LR) for kind, model, alpha in cases]
+    cases.append((PredictionKind.CROWDSOURCING, _model(1.0, 3, links=crowd)))
+    cases = [(kind, model, LR) for kind, model in cases]
     # steep and flat model links, both labeling rules
-    cases += [(kind, _model(2.0, 16, d=5), None, scaled_logistic_link(a))
+    cases += [(kind, _model(2.0, 16, d=5), scaled_logistic_link(a))
               for kind, alphas in ((PredictionKind.MULTI_LABEL_EXACT, (0.1, 50.0)),
                                    (PredictionKind.MAJORITY_VOTE_EXACT, (0.1, 3.0)))
               for a in alphas]
@@ -288,10 +287,10 @@ def test_engine_matches_adaptive_quadrature_oracle(monkeypatch):
         return expect(engine, g)
 
     monkeypatch.setattr(ZExpectationEngine, "expect", counted)
-    for kind, model, alpha, sigma in _oracle_cases():
+    for kind, model, sigma in _oracle_cases():
         points.append(0)
-        pred = predict_covariance(kind, model, alpha=alpha, model_link=sigma)
-        t_ref, mult_ref = _oracle_prediction(kind, model, alpha, pred.t_m, sigma)
+        pred = predict_covariance(kind, model, model_link=sigma)
+        t_ref, mult_ref = _oracle_prediction(kind, model, pred.t_m, sigma)
         label = (f"{kind.value} m={model.m} {model.covariates.kind.value} "
                  f"model alpha={sigma.alpha}")
         assert pred.t_m == pytest.approx(t_ref, rel=1e-8), label
@@ -545,13 +544,39 @@ def test_majority_m1_equals_well_specified():
 def test_crowd_all_ones_matches_well_specified():
     model = _model(1.0, 3)
     ws = predict_covariance(PredictionKind.WELL_SPECIFIED, model)
-    crowd = predict_covariance(PredictionKind.CROWDSOURCING, model,
-                               alpha=np.ones(3))
+    crowd = predict_covariance(PredictionKind.CROWDSOURCING, model)
     sp = predict_covariance(PredictionKind.SEMIPARAMETRIC, model)
     assert crowd.variance_multiplier == pytest.approx(
         ws.variance_multiplier, abs=1e-9)
     assert sp.variance_multiplier == pytest.approx(
         ws.variance_multiplier, abs=1e-9)
+
+
+def test_crowd_prediction_rejects_tabulated_true_links():
+    grid = np.linspace(-3.0, 3.0, 13)
+    tab = tabulated_link(grid, 0.5 + 0.5 * np.tanh(grid))
+    with pytest.raises(ValueError, match="logistic"):
+        predict_covariance(PredictionKind.CROWDSOURCING, _model(1.0, 2, links=(tab, LR)))
+
+
+def test_crowd_prediction_matches_crowd_loss_sandwich():
+    # the crowd loss at theta* on one large sample: per-row gradient
+    # coefficients c_i and Hessian weights h_i give the multiplier
+    # E[c^2] / (t*^2 E[h]^2) (Z and the orthogonal covariates are independent);
+    # its delta-method standard error sets the bound
+    model = _model(1.0, 3, links=tuple(scaled_logistic_link(a) for a in (0.5, 1.0, 2.0)))
+    n, t_star = 400_000, model.t_star
+    ds = sample_dataset(model, n, seed=12)
+    spec = LossSpec(mode=LossMode.CROWD_SCALED, links=model.links)
+    _, coef, w = _reduce(spec, ds)(ds.X @ model.theta_star)
+    v, h = (coef * n * model.m) ** 2, w * n * model.m
+    a, b = v.mean(), h.mean()
+    empirical = a / (t_star * b) ** 2
+    influence = ((v - a) / b ** 2 - 2.0 * a * (h - b) / b ** 3) / t_star ** 2
+    se = influence.std(ddof=1) / np.sqrt(n)
+    pred = predict_covariance(PredictionKind.CROWDSOURCING, model).variance_multiplier
+    assert 4.5 * se <= 0.02 * pred  # resolves an error of a few percent
+    assert abs(empirical - pred) <= 4.5 * se, (empirical, pred, se)
 
 
 def test_multilabel_multiplier_scales_exactly_one_over_m():
