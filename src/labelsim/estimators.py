@@ -2,32 +2,26 @@
 
 The per-sample loss is l_{sigma,theta}(y | x) = -int_0^{y<theta,x>} sigma(-v) dv,
 which specializes to the logistic loss (up to an additive constant) for the
-logistic link. The four ``LossMode``s count labels in one of two ways, and
-each way has its own loss kernel over the margins u = X theta:
+logistic link. Every ``LossMode`` counts its labels once, per link group,
+into one kernel over the margins u = X theta: group g has M_g labels per row
+under one link, k_g of them +1. MultiLabel is one group, the model link with
+M = m; MajorityVote one group with M = 1 and k the row's majority label
+(seeded fair tie-break) as 0 or 1; PerLabeler and CrowdScaled one group per
+distinct link, the semiparametric refit's fitted links or the crowd
+plug-in's scaled-logistic links sigma(t) = 1/(1 + exp(-alpha_j t)) at the
+estimated reliabilities (alpha = 1 gives the plain multi-label loss).
 
-  binomial     k_i of M labels are +1 under the one model link, so row i
-               costs k_i S(-u_i) + (M - k_i) S(u_i) with S the link
-               antiderivative. MultiLabel counts k_i = #{j: Y_ij = +1} out of
-               M = m; MajorityVote counts the row's majority label (seeded
-               fair tie-break) out of M = 1.
-  per-labeler  labeler j has its own link, evaluated at -Y_ij u_i.
-               PerLabelerLinks and CrowdScaled both take the links as given:
-               the semiparametric refit's fitted links, or the crowd
-               plug-in's scaled-logistic links
-               sigma(t) = 1/(1 + exp(-alpha_j t)) at the estimated
-               reliabilities, which at alpha = 1 give the plain multi-label
-               logistic loss.
-
-A kernel is one call, ``kernel(u) -> (loss, c, w)``: the mean loss, the
-coefficients c of the gradient X^T c and the weights w of the Hessian
-X^T diag(w) X, all from one evaluation of each link (``links.link_terms``,
-which returns S, sigma and sigma' together). The binomial kernel needs the
-link at +u and -u. A logistic link is symmetric, S(-u) = S(u) - u,
-sigma(-u) = 1 - sigma(u) and sigma'(-u) = sigma'(u), so one evaluation at u
-gives each row's loss M S(u) - k u, c = M sigma(u) - k and w = M sigma'(u),
-all over n M. A tabulated link is symmetric only to a tolerance, so it is
-evaluated at u and at -u. The per-labeler kernel evaluates each labeler's
-link once, at -Y_ij u_i.
+Row i of group g costs k_g S_g(-u_i) + (M_g - k_g) S_g(u_i), S the link
+antiderivative. A symmetric link has S(-u) = S(u) - u, sigma(-u) =
+1 - sigma(u) and sigma'(-u) = sigma'(u), so symmetric groups need one
+evaluation at u and one total count k: loss sum_g M_g S_g(u) - k u,
+gradient coefficients c = sum_g M_g sigma_g(u) - k and Hessian weights
+w = sum_g M_g sigma_g'(u), all over n sum_g M_g. Scaled-logistic links are
+symmetric, and so are tabulated links flagged ``symmetric`` (checked to
+round-off); symmetric tables on one grid become one table of knot values
+sum_g M_g v_g. Any other group keeps the two-sided form, evaluated at u and
+-u. A kernel call, ``kernel(u) -> (loss, c, w)``, evaluates each link once
+per side through ``links.link_terms`` (S, sigma and sigma' together).
 
 ``fit`` reduces the labels to a kernel and copies X to a contiguous X^T
 once (each Hessian is then one matrix product), then runs damped Newton
@@ -42,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -51,6 +46,8 @@ from .links import (
     LinkFamily,
     LinkSpec,
     MultiLabelDataset,
+    _UniformTable,
+    group_links,
     link_antiderivative,
     link_terms,
     logistic_link,
@@ -128,92 +125,61 @@ def link_loss(link: LinkSpec, theta, x, y) -> float:
     return float(link_antiderivative(link, -y * margin))
 
 
-class _BinomialKernel:
-    """k_i of M labels are +1, all under one link, evaluated at +-u.
+class _CountKernel:
+    """The loss of n rows whose labels fall in link groups, ``groups``
+    listing each group's (link, M_g, k_g). ``kernel(u)`` returns (loss, c,
+    w): the mean loss over the n sum_g M_g labels, c with gradient X^T c,
+    and w with Hessian X^T diag(w) X."""
 
-    ``kernel(u)`` returns (loss, c, w): the mean loss over the n*M labels, c
-    with gradient X^T c, and w with Hessian X^T diag(w) X. A logistic link
-    takes one evaluation at u, a tabulated link one at u and one at -u.
-    """
+    def __init__(self, groups):
+        symmetric = [g for g in groups if g[0].symmetric]
+        self.two_sided = [g for g in groups if not g[0].symmetric]
+        self.k = sum(k for _, _, k in symmetric)
+        self.one_sided, tables = [], {}
+        for link, M, _ in symmetric:
+            if link.family is LinkFamily.SCALED_LOGISTIC:
+                self.one_sided.append((partial(link_terms, link), M))
+            else:  # summed per grid: a link is linear in its knot values
+                grid, values = tables.get(link.grid.tobytes(), (link.grid, 0.0))
+                tables[grid.tobytes()] = grid, values + M * link.values
+        self.one_sided += [(_UniformTable(grid, values).terms, 1.0)
+                           for grid, values in tables.values()]
+        self.M = float(sum(M for _, M, _ in groups))
+        self.count = sum(k for _, _, k in groups)
+        self.scale = self.count.size * self.M
 
-    def __init__(self, link: LinkSpec, k: np.ndarray, M: int):
-        self.link, self.k, self.M = link, k, float(M)
-        self.scale = k.size * self.M
-        self.one_sided = link.family is not LinkFamily.TABULATED_MONOTONE
+    def _group_terms(self, u: np.ndarray):
+        """Each group's summed loss, c and w before the scale, the symmetric
+        groups without their -k u and -k."""
+        for terms, M in self.one_sided:
+            anti, value, deriv = terms(u)
+            value *= M
+            deriv *= M
+            yield M * anti.sum(), value, deriv
+        for link, M, k in self.two_sided:
+            anti, value, deriv = link_terms(link, u)
+            anti_m, value_m, deriv_m = link_terms(link, -u)
+            rest = M - k  # labels that are -1
+            yield ((k * anti_m + rest * anti).sum(), rest * value - k * value_m,
+                   k * deriv_m + rest * deriv)
 
     def __call__(self, u: np.ndarray):
+        groups = self._group_terms(u)
+        loss, value, deriv = next(groups)
+        for part, v, dv in groups:
+            loss += part
+            value += v
+            deriv += dv
         if self.one_sided:
-            return self._one_sided(u)
-        return self._two_sided(u)
-
-    def _one_sided(self, u: np.ndarray):
-        # M S(u) - k u, M sigma(u) - k and M sigma'(u), in place
-        k, M, scale = self.k, self.M, self.scale
-        anti, value, deriv = link_terms(self.link, u)
-        loss = float((M * anti.sum() - k @ u) / scale)
-        del anti
-        value *= M
-        value -= k
-        value /= scale
-        deriv *= M
-        deriv /= scale
-        return loss, value, deriv
-
-    def _two_sided(self, u: np.ndarray):
-        k, scale = self.k, self.scale
-        anti, value, deriv = link_terms(self.link, u)
-        anti_m, value_m, deriv_m = link_terms(self.link, -u)
-        rest = self.M - k  # labels that are -1
-        # k S(-u) + (M - k) S(u), (M - k) sigma(u) - k sigma(-u) and
-        # k sigma'(-u) + (M - k) sigma'(u), in place
-        anti_m *= k
-        anti *= rest
-        anti_m += anti
-        loss = float(anti_m.sum() / scale)
-        del anti, anti_m
-        value *= rest
-        value_m *= k
-        value -= value_m
-        value /= scale
-        del value_m
-        w = k * deriv_m
-        deriv *= rest
-        w += deriv
-        w /= scale
-        return loss, value, w
+            loss -= self.k @ u
+            value -= self.k
+        value /= self.scale
+        deriv /= self.scale
+        return float(loss / self.scale), value, deriv
 
     def separated(self, u: np.ndarray) -> bool:
-        return bool(np.all(np.where(u > 0, self.k == self.M, (u < 0) & (self.k == 0))))
-
-
-class _PerLabelerKernel:
-    """Labeler j scores its column with its own link, evaluated once per
-    call at -Y_ij u_i. ``Y`` stays int8. Same call as ``_BinomialKernel``."""
-
-    def __init__(self, links: tuple[LinkSpec, ...], Y: np.ndarray):
-        self.links, self.Y = links, Y
-        self.scale = Y.shape[0] * Y.shape[1]
-
-    def __call__(self, u: np.ndarray):
-        loss = 0.0
-        coef = np.zeros(u.size)
-        w = np.zeros(u.size)
-        for j, link in enumerate(self.links):
-            yj = self.Y[:, j]
-            t = yj * u
-            np.negative(t, out=t)
-            anti, value, deriv = link_terms(link, t)
-            loss += float(anti.sum())
-            value *= yj
-            coef -= value
-            w += deriv
-            del t, anti, value, deriv  # free them before the next labeler runs
-        coef /= self.scale
-        w /= self.scale
-        return loss / self.scale, coef, w
-
-    def separated(self, u: np.ndarray) -> bool:
-        return bool(np.all(self.Y * u[:, None] > 0))
+        return bool(np.all(np.where(u > 0, self.count == self.M,
+                                    (u < 0) & (self.count == 0))))
 
 
 def _check_dims(spec: LossSpec, theta: np.ndarray, dataset: MultiLabelDataset):
@@ -224,16 +190,21 @@ def _check_dims(spec: LossSpec, theta: np.ndarray, dataset: MultiLabelDataset):
         raise DimensionMismatch("need one link per labeler column")
 
 
-def _reduce(spec: LossSpec, dataset: MultiLabelDataset):
-    """The loss kernel of ``spec`` on ``dataset``, with the labels counted."""
+def _reduce(spec: LossSpec, dataset: MultiLabelDataset) -> _CountKernel:
+    """The loss kernel of ``spec`` on ``dataset``, with the labels counted
+    once per link group."""
     Y = dataset.Y
-    if spec.mode is LossMode.MULTI_LABEL:
-        return _BinomialKernel(spec.model_link, (Y == 1).sum(axis=1).astype(float),
-                               dataset.m)
     if spec.mode is LossMode.MAJORITY_VOTE:
         ybar = majority_vote_matrix(Y, spec.tie_seed, spec.tie_trial)
-        return _BinomialKernel(spec.model_link, (ybar.astype(float) + 1.0) / 2.0, 1)
-    return _PerLabelerKernel(spec.links, Y)
+        return _CountKernel([(spec.model_link, 1, (ybar.astype(float) + 1.0) / 2.0)])
+    positive = Y == 1
+    if spec.mode is LossMode.MULTI_LABEL:
+        return _CountKernel([(spec.model_link, dataset.m,
+                              positive.sum(axis=1).astype(float))])
+    distinct, index = group_links(spec.links)
+    return _CountKernel([(link, int(np.count_nonzero(index == g)),
+                          positive[:, index == g].sum(axis=1).astype(float))
+                         for g, link in enumerate(distinct)])
 
 
 def _kernel_and_margins(spec: LossSpec, theta, dataset: MultiLabelDataset):

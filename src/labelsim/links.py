@@ -55,6 +55,8 @@ class LinkSpec:
     nondecreasing in [0, 1] with adjacent slopes bounded by ``lipschitz``,
     and evaluation clamps to the endpoint values outside the grid. The
     lookup table (slopes, cumulative integral, S(0)) is built once, here.
+    A tabulated link flagged ``symmetric`` must pass ``mirror_symmetric``;
+    the loss kernels rely on sigma(t) + sigma(-t) = 1 for such a link.
     """
 
     family: LinkFamily
@@ -80,6 +82,9 @@ class LinkSpec:
                 raise ValueError("tabulated values must be nondecreasing")
             if np.any(values < -SYMMETRY_TOL) or np.any(values > 1 + SYMMETRY_TOL):
                 raise ValueError("tabulated values must lie in [0, 1]")
+            if self.symmetric and not mirror_symmetric(grid, values):
+                raise ValueError("tabulated link flagged symmetric is not "
+                                 "mirror-symmetric about (0, 1/2)")
             if self.lipschitz is not None:
                 slopes = np.diff(values) / np.diff(grid)
                 if np.any(slopes > self.lipschitz * (1 + 1e-9) + 1e-12):
@@ -202,7 +207,7 @@ def tabulated_link(grid, values, lipschitz=None, symmetric=None) -> LinkSpec:
     """Piecewise-linear link through (grid, values). The grid must be
     strictly increasing and uniform (``np.linspace``); a non-uniform grid
     raises ``ValueError``. ``lipschitz`` defaults to the steepest slope and
-    ``symmetric`` to whether the knots are mirror-symmetric about 1/2."""
+    ``symmetric`` to ``mirror_symmetric(grid, values)``."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     if lipschitz is None:
@@ -211,12 +216,7 @@ def tabulated_link(grid, values, lipschitz=None, symmetric=None) -> LinkSpec:
             raise ValueError("tabulated grid must be strictly increasing")
         lipschitz = float(np.max(np.diff(values) / gaps))
     if symmetric is None:
-        # symmetric iff the grid is mirror-symmetric and values satisfy
-        # v(t) + v(-t) = 1 at every knot
-        symmetric = bool(
-            np.allclose(grid, -grid[::-1], atol=1e-9)
-            and np.allclose(values + values[::-1], 1.0, atol=1e-9)
-        )
+        symmetric = mirror_symmetric(grid, values)
     return LinkSpec(
         family=LinkFamily.TABULATED_MONOTONE,
         grid=grid,
@@ -224,6 +224,15 @@ def tabulated_link(grid, values, lipschitz=None, symmetric=None) -> LinkSpec:
         lipschitz=float(lipschitz),
         symmetric=symmetric,
     )
+
+
+def mirror_symmetric(grid: np.ndarray, values: np.ndarray) -> bool:
+    """Whether the knots are mirror images, grid[-1 - i] = -grid[i], and
+    v(t) + v(-t) = 1 at each, within SYMMETRY_TOL (for the knots, times the
+    grid's extent): symmetric to round-off, not merely to a tolerance."""
+    extent = float(np.max(np.abs(grid)))
+    return bool(np.all(np.abs(grid + grid[::-1]) <= SYMMETRY_TOL * extent)
+                and np.all(np.abs(values + values[::-1] - 1.0) <= SYMMETRY_TOL))
 
 
 def same_link(a: LinkSpec, b: LinkSpec) -> bool:
@@ -300,8 +309,9 @@ def link_terms(link: LinkSpec, t: np.ndarray):
     its relative accuracy where s (1 - s) cancels. The family is symmetric,
     S(-t) = S(t) - t, sigma(-t) = 1 - sigma(t) and sigma'(-t) = sigma'(t), so
     these three also give the terms at -t. Tabulated: one bin lookup serves
-    all three, each bit-identical to its own function; a tabulated link is
-    symmetric only to a tolerance, so -t takes its own call. The caller owns
+    all three, each bit-identical to its own function; the identities hold
+    to round-off when the link is flagged ``symmetric`` (``mirror_symmetric``)
+    and not at all otherwise, where -t takes its own call. The caller owns
     the returned arrays.
     """
     if link.family is LinkFamily.TABULATED_MONOTONE:

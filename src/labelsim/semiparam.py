@@ -149,19 +149,27 @@ def _fill_empty(x: np.ndarray, has_data: np.ndarray) -> np.ndarray:
                      np.concatenate(([0.0], x[knots - 1])))
 
 
-def _fit_single_link(margins: np.ndarray, y01: np.ndarray,
-                     opts: IsotonicFitOptions) -> tuple[LinkSpec, int]:
+def _bin_margins(margins: np.ndarray, opts: IsotonicFitOptions):
+    """The link grid over [-max |margin|, max |margin|], odd-sized so that 0
+    is a knot, each margin's nearest knot and the margin count per knot;
+    every labeler's fit shares them."""
     half = float(np.max(np.abs(margins)))
     if half == 0:
         half = 1.0
-    size = opts.grid_size + (opts.grid_size % 2 == 0)  # odd so 0 is a knot
+    size = opts.grid_size + (opts.grid_size % 2 == 0)
     grid = np.linspace(-half, half, size)
     delta = grid[1] - grid[0]
-    center = size // 2
-    step = opts.lipschitz * delta
-
     idx = np.clip(np.rint((margins + half) / delta).astype(int), 0, size - 1)
-    counts = np.bincount(idx, minlength=size).astype(float)
+    return grid, idx, np.bincount(idx, minlength=size).astype(float)
+
+
+def _fit_single_link(grid: np.ndarray, idx: np.ndarray, counts: np.ndarray,
+                     y01: np.ndarray, opts: IsotonicFitOptions
+                     ) -> tuple[LinkSpec, int]:
+    size = grid.size
+    center = size // 2
+    step = opts.lipschitz * (grid[1] - grid[0])
+
     sums = np.bincount(idx, weights=y01, minlength=size)
     target = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.5)
     # empty bins get a vanishing weight, so every increment is unique;
@@ -204,14 +212,12 @@ def fit_links_with_diagnostics(u_init, dataset: MultiLabelDataset,
         raise ValueError("u_init must be a unit vector")
     if dataset.n == 0:
         raise ValueError("dataset is empty")
-    margins = dataset.X @ u_init
+    bins = _bin_margins(dataset.X @ u_init, opts)
     links, degenerate, iterations = [], [], []
     for j in range(dataset.m):
         col = dataset.Y[:, j]
-        if col.size == 0:
-            raise ValueError(f"labeler column {j} is empty")
         y01 = (col.astype(float) + 1.0) / 2.0
-        link, iters = _fit_single_link(margins, y01, opts)
+        link, iters = _fit_single_link(*bins, y01, opts)
         links.append(link)
         degenerate.append(bool(np.all(col == col[0])))
         iterations.append(iters)

@@ -542,7 +542,8 @@ def _fixed_norm_multiplier(kind: PredictionKind, model: ModelSpec,
                            engine: ZExpectationEngine) -> float:
     """Multiplier of the kinds whose norm is t* itself: the per-labeler link
     formula E[sum_j p_j (1 - p_j)] / (t*^2 E[sum_j sigma_j'(t* Z)]^2) with
-    p_j = sigma_j(t* Z); well-specified takes the first labeler's terms.
+    p_j = sigma_j(t* Z); well-specified needs every labeler on one link and
+    raises ``ValueError`` otherwise.
 
     Semiparametric and crowdsourcing both fit with the true links (estimated
     consistently), whose loss has gradient coefficients of variance
@@ -552,7 +553,10 @@ def _fixed_norm_multiplier(kind: PredictionKind, model: ModelSpec,
     distinct, index = group_links(model.links)
     counts = np.bincount(index)
     if kind is PredictionKind.WELL_SPECIFIED:
-        distinct, counts = distinct[:1], np.ones(1)
+        if len(distinct) > 1:
+            raise ValueError("well-specified theory needs one link shared by "
+                             "every labeler")
+        counts = np.ones(1)
 
     def label_var(z):
         p = np.array([link_eval(link, t_star * z) for link in distinct])

@@ -279,11 +279,7 @@ def test_08_crowdsourcing_plugin_multiplier():
     summary = run_experiment(config)
     emp = empirical_multiplier(summary, model)
 
-    engine = ZExpectationEngine(dist=model.covariates)
-    total = sum(engine.expect(
-        lambda z, a=a: link_eval(LR, a * z) * (1.0 - link_eval(LR, a * z)))
-        for a in alphas)
-    target = 1.0 / total
+    target = predict_covariance(PredictionKind.CROWDSOURCING, model).variance_multiplier
     rel = abs(emp / target - 1.0)
     ok = rel <= 0.35
     _report(8, "crowdsourcing plug-in covariance", ok,

@@ -193,6 +193,17 @@ def test_theory_beta_validation(capsys):
     assert "beta > 0" in capsys.readouterr().err
 
 
+def test_theory_well_specified_rejects_unequal_links(tmp_path, capsys):
+    # the well-specified kind is one link for every labeler; unequal ones
+    # are an error in either order, and equal ones keep their multiplier
+    for alphas in ("0.5,1,2", "2,1,0.5"):
+        assert main(["theory", "--kind", "well-specified", "--m", "3",
+                     "--alpha", alphas]) == 2
+        assert "one link shared by every labeler" in capsys.readouterr().err
+    assert _theory_multiplier(tmp_path, "ws", "--kind", "well-specified",
+                              "--m", "3", "--alpha", "1,1,1") == "1.6132599841340414"
+
+
 def test_theory_impossibility_discrepancy_tiny(tmp_path):
     out = str(tmp_path / "imp.csv")
     assert main(["theory", "--impossibility", "--m", "3", "--mbar", "1",

@@ -113,6 +113,61 @@ def test_kernel_matches_separate_link_formulas():
                 assert np.all(np.abs(g - w) <= np.maximum(1e-13 * np.abs(w), 1e-15)), spec
 
 
+def test_count_kernel_groups_match_per_labeler_formulas():
+    # per-labeler specs whose links fall in groups: a repeated non-symmetric
+    # link (its own count per group), two symmetric tables on one grid (one
+    # summed table) and symmetric tables on two grids (one table each)
+    rng = np.random.default_rng(13)
+    u = np.concatenate([[800.0, -800.0, 0.0, -0.0, 30.0, -30.0, 1e-3, -1e-3],
+                        5.0 * rng.standard_normal(56)])
+    n, m = u.size, 5
+    Y = rng.choice([-1, 1], size=(n, m)).astype(np.int8)
+    Y[:3] = 1
+    Y[3:5] = -1
+    ds = MultiLabelDataset(X=np.zeros((n, 1)), Y=Y)
+    skewed = _model_links()[3]
+    grid, wide = np.linspace(-3, 3, 13), np.linspace(-4, 4, 17)
+    # steeper below 0 than above
+    mirrored = tabulated_link(grid, 0.5 + 0.45 * np.tanh(grid) * np.where(grid > 0, 0.5, 1.0))
+    # symmetric to round-off: tanh and arctan are odd, the grids mirror images
+    a = tabulated_link(grid, 0.5 + 0.4 * np.tanh(grid))
+    b = tabulated_link(grid, 0.5 + 0.3 * np.arctan(grid) / (np.pi / 2))
+    c = tabulated_link(wide, 0.5 + 0.45 * np.tanh(0.5 * wide))
+    assert a.symmetric and b.symmetric and c.symmetric
+    cases = [((skewed, logistic_link(), mirrored, skewed, scaled_logistic_link(0.5)), 2, 2),
+             ((a, b, a, logistic_link(), b), 2, 0),
+             ((a, c, skewed, c, scaled_logistic_link(50.0)), 3, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for links, one_sided, two_sided in cases:
+            spec = LossSpec(mode=LossMode.PER_LABELER, links=links)
+            kernel = _reduce(spec, ds)
+            assert (len(kernel.one_sided), len(kernel.two_sided)) == (one_sided, two_sided)
+            got = kernel(u)
+            want = _reference_kernel(spec, Y, u)
+            for g, w in zip(got, want):
+                g, w = np.asarray(g), np.asarray(w)
+                assert g.shape == w.shape
+                assert np.all(np.abs(g - w) <= np.maximum(1e-13 * np.abs(w), 1e-15)), links
+            # separated iff every label has the sign of its row's margin
+            assert not kernel.separated(u)
+            unanimous = _reduce(spec, MultiLabelDataset(X=np.zeros((5, 1)), Y=Y[:5]))
+            assert unanimous.separated(np.array([1.0, 2.0, 3.0, -1.0, -2.0]))
+            assert not unanimous.separated(np.array([1.0, 2.0, 0.0, -1.0, -2.0]))
+
+
+def test_nearly_symmetric_table_stays_two_sided():
+    # symmetric only to 1e-9: not flagged, so the kernel evaluates it at +-u
+    grid = np.linspace(-3, 3, 13)
+    values = 0.5 + 0.4 * np.tanh(grid)
+    values[-1] += 1e-9
+    near = tabulated_link(grid, values)
+    assert not near.symmetric
+    ds = MultiLabelDataset(X=np.zeros((4, 1)), Y=np.ones((4, 2)))
+    kernel = _reduce(LossSpec(mode=LossMode.PER_LABELER, links=(near, near)), ds)
+    assert (len(kernel.one_sided), len(kernel.two_sided)) == (0, 1)
+
+
 def test_link_loss_logistic_is_shifted_log_loss():
     lr = logistic_link()
     theta, x = np.array([1.0, -2.0]), np.array([0.3, 0.4])

@@ -4,6 +4,8 @@ from scipy import integrate
 
 from labelsim import (
     CovariateKind,
+    LinkFamily,
+    LinkSpec,
     ModelSpec,
     MultiLabelDataset,
     TheoryPrediction,
@@ -90,6 +92,33 @@ def test_tabulated_symmetry_detection():
     asym = tabulated_link(grid, [0.2, 0.3, 0.5, 0.7, 0.9])
     assert sym.symmetric
     assert not asym.symmetric
+
+
+def test_symmetric_flag_is_checked():
+    # symmetric=True needs mirror-image knots with v(t) + v(-t) = 1 to
+    # SYMMETRY_TOL; detection uses the same test
+    grid = np.linspace(-2, 2, 5)
+    values = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    assert tabulated_link(grid, values, symmetric=True).symmetric
+    with pytest.raises(ValueError, match="symmetric"):
+        tabulated_link(grid, [0.2, 0.3, 0.5, 0.7, 0.9], symmetric=True)
+    with pytest.raises(ValueError, match="symmetric"):
+        tabulated_link(np.linspace(-2, 3, 5), values, symmetric=True)
+    # the LinkSpec default is symmetric, so a bare asymmetric table raises
+    with pytest.raises(ValueError, match="symmetric"):
+        LinkSpec(family=LinkFamily.TABULATED_MONOTONE, grid=grid,
+                 values=[0.2, 0.3, 0.5, 0.7, 0.9])
+    # off by 1e-9 at one knot: neither flagged nor accepted as symmetric
+    near = values.copy()
+    near[-1] += 1e-9
+    assert not tabulated_link(grid, near).symmetric
+    with pytest.raises(ValueError, match="symmetric"):
+        tabulated_link(grid, near, symmetric=True)
+    # off by round-off: symmetric
+    close = values.copy()
+    close[-1] += 1e-15
+    assert tabulated_link(grid, close).symmetric
+    assert tabulated_link(grid * (1 + 1e-15), values).symmetric
 
 
 def test_tabulated_eval_clamps_and_interpolates():

@@ -57,6 +57,23 @@ def _assert_feasible(link, opts):
         assert np.max(np.abs(vals + vals[::-1] - 1.0)) < 1e-8
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_link_fit_per_labeler_equals_one_labeler_fits(symmetric):
+    # the margins are binned once for all labelers; each link is still, bit
+    # for bit, the fit of its column alone
+    _, ds = _logistic_dataset(3000, 3, seed=14, alphas=(0.5, 1.0, 3.0))
+    u = np.array([0.8, 0.6, 0.0])
+    opts = IsotonicFitOptions(enforce_symmetry=symmetric)
+    links, diag = fit_links_with_diagnostics(u, ds, opts)
+    for j, link in enumerate(links):
+        alone = MultiLabelDataset(X=ds.X, Y=ds.Y[:, j:j + 1])
+        (want,), want_diag = fit_links_with_diagnostics(u, alone, opts)
+        assert np.array_equal(link.grid, want.grid)
+        assert np.array_equal(link.values.view(np.int64), want.values.view(np.int64))
+        assert link.symmetric == want.symmetric == symmetric
+        assert diag.iterations[j] == want_diag.iterations[0]
+
+
 def test_fitted_links_satisfy_all_constraints():
     model, ds = _logistic_dataset(3000, 3, seed=1)
     opts = IsotonicFitOptions()
