@@ -6,14 +6,19 @@ split and estimates each labeler's link by constrained least squares
 outward from the centre knot, each side is a chain whose increments lie in
 [0, L * delta]: Lipschitz isotonic regression on a chain, solved exactly by
 a dynamic program over the chain (one per link, two when the link is not
-symmetric; Yeganova & Wilbur 2009). `LinkFitDiagnostics.iterations` holds
-the number of free increments of that solve per labeler, those strictly
-inside (0, L * delta), summed over both sides when there are two. Knots
-whose bins hold no data (for a symmetric link: neither mirrored bin) carry
-no weight, so the objective does not fix them; they are set by linear
-interpolation between the nearest knots with data and held flat past the
-outermost one. Stage 2 refits the parameter on the remaining data with the
-per-labeler link loss.
+symmetric; Yeganova & Wilbur 2009). The program keeps the derivative's
+knots on two stacks, split at the current minimizer, whose lazy affine
+offsets and lazy shift absorb each point's update, so a point costs O(1)
+work in plain Python floats plus one move per knot crossing the minimizer,
+about one per point on stage-1 chains (`_chain_fit`).
+`LinkFitDiagnostics.iterations` holds the number of free increments of
+that solve per labeler, those inside (0, L * delta) by more than a stated
+round-off margin (`FREE_MARGIN`), summed over both sides when there are
+two. Knots whose bins hold no data (for a symmetric link: neither mirrored
+bin) carry no weight, so the objective does not fix them; they are set by
+linear interpolation between the nearest knots with data and held flat
+past the outermost one. Stage 2 refits the parameter on the remaining data
+with the per-labeler link loss.
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ __all__ = [
 ]
 
 ALPHA_FLOOR = 1e-3
+# an increment x_i - x_{i-1} counts as free only when it is inside
+# (0, L * delta) by more than FREE_MARGIN * (L * delta + |x_i|), the
+# round-off of the chain's positions
+FREE_MARGIN = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -65,8 +74,8 @@ class IsotonicFitOptions:
 @dataclass(frozen=True)
 class LinkFitDiagnostics:
     degenerate: tuple[bool, ...]  # per labeler: constant label column
-    # per labeler: increments strictly inside (0, L * delta), at most one
-    # per knot beside the centre
+    # per labeler: increments inside (0, L * delta) by more than the
+    # round-off margin (FREE_MARGIN), at most one per knot beside the centre
     iterations: tuple[int, ...]
 
 
@@ -94,7 +103,8 @@ def _chain_fit(w: np.ndarray, target: np.ndarray,
                step: float) -> tuple[np.ndarray, int]:
     """Exact minimizer of sum_i w_i (x_i - target_i)^2 over chains with
     x_{-1} = 0 and increments x_i - x_{i-1} in [0, step]; returns x and the
-    number of increments strictly inside their bounds.
+    number of increments inside their bounds by more than the round-off
+    margin FREE_MARGIN * (step + |x_i|).
 
     Dynamic programming over the chain: f_i(x), the least cost of the first
     i + 1 points with x_i = x, is convex, so its derivative is kept as
@@ -102,39 +112,93 @@ def _chain_fit(w: np.ndarray, target: np.ndarray,
     a jump. f_i is the windowed minimum of f_{i-1} over [x - step, x], whose
     derivative is f_{i-1}' with a flat zero piece [a, a + step] inserted at
     the minimizer a and the part right of it shifted by step, plus
-    2 w_i (x - target_i). Backtracking clamps each stored minimizer to the
-    window below the next point.
+    2 w_i (x - target_i).
+
+    The knots sit on two stacks split at the minimizer, each with its top
+    nearest it: L holds those with val < 0, R those with val >= 0. No knot
+    is rewritten when a point is added; each stack carries lazy terms
+    instead. A knot of L stores (pos, val - slope * pos - off_l), one of R
+    stores (q, val - slope * q - off_r) with pos = q + shift. Point i sets
+    shift = (i + 1) * step, which moves all of R right by step, and adds
+    2 w_i to slope, -2 w_i target_i to off_l and 2 w_i (shift - target_i)
+    to off_r: the added linear term, on every knot at once. The ends of the
+    flat piece, whose val is now 2 w_i (a - target_i) and 2 w_i (a + step -
+    target_i), are pushed onto the stacks their signs pick, and top knots
+    move across until the two tops differ in sign. The new minimizer
+    interpolates between the tops with the values that walk computed, not
+    recomputed ones, which can round to a tie. A point costs O(1) Python
+    float operations plus one per knot that crosses the minimizer: about
+    one crossing per point on stage-1 chains, all of them at worst, when
+    heavy targets far out of reach alternate sides. Backtracking clamps
+    each stored minimizer to the window below the next point.
     """
-    n = w.size
-    pos = np.array([0.0, step])
-    val = 2.0 * w[0] * (pos - target[0])
-    argmin = np.empty(n + 1)
-    argmin[0] = 0.0  # x_{-1}
-    for i in range(1, n + 1):
-        # minimizer of f_{i-1}: where its derivative crosses zero
-        k = int(np.searchsorted(val, 0.0))
-        if k == 0:
-            a = pos[0]
-        elif k == pos.size:
-            a = pos[-1]
+    w2 = 2.0 * w
+    tw2 = w2 * target
+    shifts = step * np.arange(1, w.size + 1)
+    frames = zip(w2.tolist(), tw2.tolist(), shifts.tolist(),
+                 np.cumsum(w2).tolist(), (-np.cumsum(tw2)).tolist(),
+                 np.cumsum(w2 * shifts - tw2).tolist())
+    l_stack, r_stack = [], []
+    l_push, l_pop = l_stack.append, l_stack.pop
+    r_push, r_pop = r_stack.append, r_stack.pop
+    a = shift = 0.0  # x_{-1}, and no shift before the first point
+    argmin = [a]
+    for wi2, twi2, next_shift, slope, off_l, off_r in frames:
+        # the flat piece [a, a + step]: its right end is q1 in R's frame
+        q1 = a - shift
+        shift = next_shift
+        p0, p1 = a, q1 + shift
+        v0, v1 = wi2 * p0 - twi2, wi2 * p1 - twi2
+        if v0 >= 0.0:
+            # both ends are >= 0: push them onto R, then move L's top
+            # knots across while they are >= 0
+            r_push((q1, v1 - slope * q1 - off_r))
+            q0 = p0 - shift
+            r_push((q0, v0 - slope * q0 - off_r))
+            p1, v1 = p0, v0
+            while l_stack:
+                p0, c = l_stack[-1]
+                v0 = c + slope * p0 + off_l
+                if v0 < 0.0:
+                    break
+                l_pop()
+                q0 = p0 - shift
+                r_push((q0, v0 - slope * q0 - off_r))
+                p1, v1 = p0, v0
+        elif v1 < 0.0:
+            # both ends are < 0: the mirror image
+            l_push((p0, v0 - slope * p0 - off_l))
+            l_push((p1, v1 - slope * p1 - off_l))
+            p0, v0 = p1, v1
+            while r_stack:
+                q1, c = r_stack[-1]
+                p1, v1 = q1 + shift, c + slope * q1 + off_r
+                if v1 >= 0.0:
+                    break
+                r_pop()
+                l_push((p1, v1 - slope * p1 - off_l))
+                p0, v0 = p1, v1
         else:
-            a = pos[k - 1] - val[k - 1] * (pos[k] - pos[k - 1]) / (val[k] - val[k - 1])
-        argmin[i] = a
-        if i == n:
-            break
-        pos = np.concatenate((pos[:k], (a, a + step), pos[k:] + step))
-        val = np.concatenate((val[:k], (0.0, 0.0), val[k:]))
-        val += 2.0 * w[i] * (pos - target[i])
-    x = np.empty(n)
-    x[-1] = argmin[n]
-    free = 0
-    for i in range(n - 1, -1, -1):
-        a = argmin[i]
-        below = x[i] - step
-        free += below < a < x[i]
-        if i:
-            x[i - 1] = min(max(a, below), x[i])
-    return x, int(free)
+            l_push((p0, v0 - slope * p0 - off_l))
+            r_push((q1, v1 - slope * q1 - off_r))
+        # the minimizer: where the derivative crosses zero, v0 < 0 <= v1
+        if not l_stack:
+            a = p1
+        elif not r_stack:
+            a = p0
+        else:
+            a = p0 - v0 * (p1 - p0) / (v1 - v0)
+        argmin.append(a)
+    x = [a]
+    hi = a
+    for a in argmin[-2:0:-1]:
+        lo = hi - step
+        hi = lo if a < lo else hi if a > hi else a
+        x.append(hi)
+    x = np.array(x[::-1])
+    lo, a = x - step, np.array(argmin[:-1])
+    margin = FREE_MARGIN * (step + np.abs(x))
+    return x, int(np.count_nonzero((lo + margin < a) & (a < x - margin)))
 
 
 def _fill_empty(x: np.ndarray, has_data: np.ndarray) -> np.ndarray:

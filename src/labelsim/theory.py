@@ -32,6 +32,7 @@ from .links import (
     LinkFamily,
     LinkSpec,
     ModelSpec,
+    SYMMETRY_TOL,
     TheoryPrediction,
     group_links,
     link_derivative,
@@ -327,7 +328,11 @@ def construct_matching_link(sigma_star: LinkSpec, theta_star, m: int,
     s = ||theta_star|| / ||theta_bar||; requires collinear directions.
     ``grid`` (default 801 knots over 12 / s either side of 0) must be
     uniform, as every tabulated grid is; a non-uniform one raises
-    ``ValueError``.
+    ``ValueError``. For a symmetric sigma_star, T_k(1 - p) = 1 - T_k(p)
+    gives sigma_bar(t) = 1 - sigma_bar(-t): a knot t > 0 whose value is
+    further than SYMMETRY_TOL / 2 from that mirror image, because T_m
+    rounded to 1 in the upper tail, takes it from the lower tail instead,
+    so the link is symmetric to round-off.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     theta_bar = np.asarray(theta_bar, dtype=float)
@@ -343,6 +348,12 @@ def construct_matching_link(sigma_star: LinkSpec, theta_star, m: int,
     grid = np.asarray(grid, dtype=float)
     q = binom_tail_transform(link_eval(sigma_star, scale * grid), m)
     values = inverse_binom_tail_transform(q, m_bar)
+    if sigma_star.symmetric:
+        upper = np.flatnonzero(grid > 0)
+        q_low = binom_tail_transform(link_eval(sigma_star, -scale * grid[upper]), m)
+        mirror = 1.0 - inverse_binom_tail_transform(q_low, m_bar)
+        lost = np.abs(values[upper] - mirror) > 0.5 * SYMMETRY_TOL
+        values[upper[lost]] = mirror[lost]
     # guard rounding noise so the tabulated validator accepts
     values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
     return tabulated_link(grid, values)

@@ -20,7 +20,7 @@ from labelsim import (
     scaled_logistic_link,
     semiparametric_fit,
 )
-from labelsim.semiparam import _chain_fit
+from labelsim.semiparam import FREE_MARGIN, _chain_fit
 
 LR = logistic_link()
 
@@ -210,7 +210,7 @@ def test_production_grid_fit_meets_kkt(symmetric):
     assert _increment_kkt_residual(link, ds.X @ model.u_star, y01, opts) <= 1e-9
 
 
-def _bvls_chain_fit(w, target, step):
+def _bvls_increments(w, target, step):
     """The chain fit as bounded least squares in the increments, solved by
     scipy's BVLS on the dense cumulative-sum matrix."""
     sw = np.sqrt(w / w.sum())
@@ -218,10 +218,42 @@ def _bvls_chain_fit(w, target, step):
     res = optimize.lsq_linear(sw[:, None] * cumsum, sw * target,
                               bounds=(0.0, step), method="bvls")
     assert res.success
-    return np.cumsum(res.x)
+    return res.x
 
 
-def test_chain_fit_matches_bvls_oracle():
+def _free_count(inc, x, step):
+    # increments inside (0, step) by more than the chain fit's margin
+    margin = FREE_MARGIN * (step + np.abs(x))
+    return int(np.count_nonzero((inc > margin) & (inc < step - margin)))
+
+
+def _adversarial_chains():
+    """(w, target, step) inputs at the edges of the chain fit: extreme weight
+    ratios, the shortest chains, a step wider than the target range and
+    targets out of reach on both sides."""
+    step = 0.05
+    # runs of empty-bin weights between heavy blocks; the objective is flat
+    # to round-off on such a run, so each run sits where the bounds pin it:
+    # a full-slope rise towards an unreachable block, or a flat stretch
+    # between blocks pulled towards each other
+    w = np.array([1e5, 1e5] + [1e-12] * 6 + [1e5, 3.0] + [1e-12] * 5
+                 + [2e4, 1e5, 7.0] + [1e-12] * 4 + [1e5])
+    target = np.array([-1.0, -1.0] + [0.0] * 6 + [5.0, 5.0] + [0.0] * 5
+                      + [0.2, 0.2, 0.3] + [0.0] * 4 + [0.25])
+    yield w, target, step
+    yield np.array([2.0]), np.array([0.01]), step  # K = 1, free
+    yield np.array([2.0]), np.array([3.0]), step  # K = 1, at the step
+    yield np.array([1e5, 1e-3]), np.array([0.03, -0.4]), step  # K = 2
+    yield np.array([1.0, 4.0]), np.array([-0.2, 0.7]), step  # K = 2
+    wide = np.random.default_rng(9).uniform(0.5, 5.0, 30)
+    dips = np.random.default_rng(10).normal(0.0, 0.1, 30)
+    yield wide, dips, 1.0  # the step spans the whole target range
+    yield wide, np.concatenate([np.full(15, -3.0), np.full(15, 9.0)]), step
+    yield wide, np.full(30, -2.0), step  # all below reach: x = 0
+    yield wide, np.full(30, 1e3), step  # all above reach: full slope
+
+
+def _oracle_chains():
     rng = np.random.default_rng(8)
     for _ in range(40):
         size = int(rng.integers(5, 257))
@@ -229,11 +261,20 @@ def test_chain_fit_matches_bvls_oracle():
         w = rng.uniform(0.05, 20.0, size)
         # a noisy rise, so the fit mixes free and bound increments
         target = np.cumsum(rng.normal(0.3 * step, step, size)) + rng.normal(0, 0.1, size)
-        x, free = _chain_fit(w, target, step)
-        assert np.max(np.abs(x - _bvls_chain_fit(w, target, step))) <= 1e-10
+        yield w, target, step
+    yield from _adversarial_chains()
+
+
+def test_chain_fit_matches_bvls_oracle():
+    for w, target, step in _oracle_chains():
+        with np.errstate(all="raise"):
+            x, free = _chain_fit(w, target, step)
+        inc_bvls = _bvls_increments(w, target, step)
+        x_bvls = np.cumsum(inc_bvls)
+        assert np.max(np.abs(x - x_bvls)) <= 1e-10
         inc = np.diff(x, prepend=0.0)
         assert np.all(inc >= 0.0) and np.all(inc <= step * (1 + 1e-12))
-        assert 0 <= free <= size
+        assert free == _free_count(inc_bvls, x_bvls, step)
 
 
 def test_chain_fit_with_every_increment_at_a_bound():
@@ -248,10 +289,12 @@ def test_chain_fit_with_every_increment_at_a_bound():
          [step, 2 * step, 2 * step, 2 * step, 2 * step]),
     )
     for w, target, want in cases:
-        x, free = _chain_fit(w, target, step)
+        with np.errstate(all="raise"):
+            x, free = _chain_fit(w, target, step)
         assert x == pytest.approx(want, abs=1e-15)
         assert free == 0
-        assert np.max(np.abs(x - _bvls_chain_fit(w, target, step))) <= 1e-10
+        x_bvls = np.cumsum(_bvls_increments(w, target, step))
+        assert np.max(np.abs(x - x_bvls)) <= 1e-10
 
 
 @pytest.mark.parametrize("symmetric", [True, False])

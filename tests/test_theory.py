@@ -9,6 +9,7 @@ from scipy import integrate, optimize, special, stats
 
 from labelsim import theory
 from labelsim.estimators import _reduce
+from labelsim.links import mirror_symmetric
 
 from labelsim import (
     BracketNotFound,
@@ -447,6 +448,15 @@ def test_matching_link_reduces_labeler_count():
     assert np.max(np.abs(original - link_eval(bar, grid))) < 1e-10
     assert link_eval(bar, 0.0) == 0.5
     assert np.max(np.abs(link_eval(bar, grid) + link_eval(bar, -grid) - 1)) < 1e-9
+
+
+def test_matching_link_upper_tail_is_mirror_symmetric():
+    # at m = 64, T_m(sigma*(s t)) rounds to 1 in the upper tail; those knots
+    # come from the lower tail instead, so the link is symmetric to round-off
+    link = construct_matching_link(LR, np.array([2.0, 0.0]), 64,
+                                   np.array([1.0, 0.0]), 8)
+    assert mirror_symmetric(link.grid, link.values)
+    assert link.symmetric
 
 
 def test_matching_link_rejects_non_collinear():
