@@ -334,10 +334,11 @@ def _logistic_terms(link: LinkSpec, t: np.ndarray):
     anti = np.maximum(at, 0.0, out=at)
     deriv = np.multiply(d, d, out=d)
     np.divide(e, deriv, out=deriv)
-    deriv *= alpha
     anti += np.log1p(e, out=e)
     anti -= LOG2
-    anti /= alpha
+    if alpha != 1.0:  # at alpha = 1 (the logistic link) both are exact no-ops
+        deriv *= alpha
+        anti /= alpha
     return anti, value, deriv
 
 
@@ -379,7 +380,9 @@ class CovariateDistribution:
 
         z = np.asarray(z, dtype=float)
         if self.kind is CovariateKind.ISOTROPIC_GAUSSIAN:
-            return 2.0 * stats.norm.pdf(z)
+            # 2 stats.norm.pdf(z) bit for bit, by scipy's own formula without
+            # its argument handling, which cost more than the formula
+            return 2.0 * (np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi))
         return stats.gamma.pdf(z, a=self.beta)
 
     @property

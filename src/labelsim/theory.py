@@ -6,6 +6,12 @@ observationally equivalent, calibration gap functions and their roots t_m,
 asymptotic covariance multipliers for each estimator, and the large-m limit
 constants a and b.
 
+Each covariance is the M-estimation sandwich H^-1 B H^-1 (van der Vaart,
+Asymptotic Statistics, ch. 5) of the estimator's fitted loss at its population
+minimizer t_m u*: E[c^2] / (t_m^2 E[w]^2) along u*, for the per-row terms c
+and w of the loss's count kernel (_kernel_moments). Estimators differ only in
+their label groups.
+
 Every integral is one fixed panel rule (ZExpectationEngine, and
 _halfline_integral for plain half-line integrals): Gauss-Legendre panels on
 a doubling ladder that starts below the smallest feature width of the
@@ -37,6 +43,7 @@ from .links import (
     group_links,
     link_derivative,
     link_eval,
+    link_terms,
     logistic_link,
     tabulated_link,
 )
@@ -360,6 +367,46 @@ def construct_matching_link(sigma_star: LinkSpec, theta_star, m: int,
 
 
 # ---------------------------------------------------------------------------
+# the fitted loss in population
+
+
+def _kernel_moments(groups, t: float, z: np.ndarray):
+    """(E[c | z], Var[c | z], E[w | z]) at u = t z for the per-row gradient
+    coefficient c = sum_g (#- sigma_g(u) - #+ sigma_g(-u)) and Hessian weight
+    w = sum_g (#+ sigma_g'(-u) + #- sigma_g'(u)) of estimators._CountKernel,
+    without its 1 / (n M) scale, which cancels in every use here. Each group
+    is (link, M_g, E[#+], E[#-], Var[#+]) on z, #+ and #- its numbers of +1
+    and -1 labels; groups are independent given z. As in the kernel, a
+    symmetric link is evaluated once, at u: its terms are M_g sigma_g(u) - #+
+    and M_g sigma_g'(u).
+    """
+    u = t * z
+    parts = []
+    for link, count, plus, minus, spread in groups:
+        _, value, deriv = link_terms(link, u)
+        if link.symmetric:  # in place: link_terms leaves its arrays to us
+            value *= count
+            value -= plus
+            deriv *= count
+            parts.append((value, spread, deriv))
+        else:
+            _, value_m, deriv_m = link_terms(link, -u)
+            parts.append((minus * value - plus * value_m,
+                          spread * (value + value_m) ** 2,
+                          plus * deriv_m + minus * deriv))
+    return tuple(sum(terms[1:], terms[0]) for terms in zip(*parts))
+
+
+def _sandwich(engine: ZExpectationEngine, groups, t: float) -> float:
+    """The multiplier E[c^2] / (t E[w])^2 = E[E[c | Z]^2 + Var[c | Z]] /
+    (t E[E[w | Z]])^2 of the loss with label groups ``groups`` on the engine's
+    nodes (which expect passes to the integrands) at its minimizer t u*."""
+    mean, var, weight = _kernel_moments(groups, t, engine.nodes)
+    return (engine.expect(lambda z: mean * mean + var)
+            / (t * engine.expect(lambda z: weight)) ** 2)
+
+
+# ---------------------------------------------------------------------------
 # gap function and its root t_m
 
 
@@ -374,14 +421,14 @@ class GapFunction:
 
     phi(s) = P(label +1 | margin s): the average of the true links in
     multi-label mode, the tie-broken majority probability in majority mode.
-    The population minimizer of the corresponding loss is t_m u* with
-    h(t_m) = 0; h is strictly increasing.
+    h(t) = E[Z E[c | Z]] and h'(t) = E[Z^2 E[w | Z]] > 0 (_kernel_moments)
+    for the loss under the model link sigma, minimized at t_m u*, h(t_m) = 0.
 
     The engine's panels are resolved to the width of phi(t* z), about
-    1/(t* sqrt(m)) for majority vote, and phi on its nodes is computed once
-    (it does not depend on t), so each h(t) is one link evaluation and a
-    dot product. The model link needs no width of its own: sigma(t_m z)
-    follows phi(t* z), whatever the scale of sigma, because t_m absorbs it.
+    1/(t* sqrt(m)) for majority vote, and the label group on its nodes is
+    computed once, so each h(t) is one ``link_terms`` call of a symmetric
+    model link and a dot product. The model link needs no width of its own:
+    sigma(t_m z) follows phi(t* z), whatever its scale, as t_m absorbs it.
     """
 
     mode: GapMode
@@ -409,18 +456,15 @@ class GapFunction:
         return float(out[0]) if np.isscalar(s) else out
 
     @cached_property
-    def _group_probs(self) -> tuple[np.ndarray, np.ndarray]:
-        return _link_probs(self.true_links, self.t_star * self.engine.nodes)
-
-    @cached_property
-    def label_probs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(phi, 1 - phi) at t* z on the engine's nodes; in majority mode
-        both vote tails are computed directly."""
-        probs, counts = self._group_probs
+    def _groups(self):
+        """The model link's label group at t* z on the engine's nodes: m
+        labels, or one majority vote whose two tails are computed directly."""
+        probs, counts = _link_probs(self.true_links, self.t_star * self.engine.nodes)
         if self.mode is GapMode.MULTI_LABEL:
-            phi = counts @ probs / self.m
-            return phi, 1.0 - phi
-        return _vote_tails(probs, counts)
+            return ((self.model_link, self.m, counts @ probs, counts @ (1.0 - probs),
+                     counts @ (probs * (1.0 - probs))),)
+        plus, minus = _vote_tails(probs, counts)
+        return ((self.model_link, 1, plus, minus, plus * minus),)
 
     @cached_property
     def coarse(self) -> GapFunction:
@@ -458,19 +502,13 @@ class GapFunction:
 
 
 def gap_eval(g: GapFunction, t: float) -> float:
-    # phi is cached on the engine's nodes, which expect passes to the integrand
-    plus, minus = g.label_probs
-    sigma = g.model_link
-    return g.engine.expect(lambda z: z * (link_eval(sigma, t * z) * minus
-                                          - link_eval(sigma, -t * z) * plus))
+    # the groups are cached on the engine's nodes, which expect passes to f
+    return g.engine.expect(lambda z: z * _kernel_moments(g._groups, t, z)[0])
 
 
 def _gap_slope(g: GapFunction, t: float) -> float:
-    """h'(t) = E[Z^2 (sigma'(tZ) (1 - phi) + sigma'(-tZ) phi)] > 0."""
-    plus, minus = g.label_probs
-    sigma = g.model_link
-    return g.engine.expect(lambda z: z * z * (link_derivative(sigma, t * z) * minus
-                                              + link_derivative(sigma, -t * z) * plus))
+    """h'(t) = E[Z^2 E[w | Z]] > 0."""
+    return g.engine.expect(lambda z: z * z * _kernel_moments(g._groups, t, z)[2])
 
 
 def solve_tm(g: GapFunction) -> float:
@@ -514,115 +552,62 @@ def _projected_pinv(dist: CovariateDistribution, u_star: np.ndarray) -> np.ndarr
     return _psd_pinv(p_perp @ dist.covariance() @ p_perp)
 
 
-def _multilabel_multiplier(g: GapFunction, t: float) -> float:
-    sigma, m = g.model_link, g.m
-    plus, minus = g.label_probs
-    probs, counts = g._group_probs
-    label_var = counts @ (probs * (1.0 - probs))  # sum_j p_j (1 - p_j)
-
-    def le_sq(z):
-        le = link_eval(sigma, t * z) * minus - link_eval(sigma, -t * z) * plus
-        return le * le
-
-    def he(z):
-        return (link_derivative(sigma, -t * z) * plus
-                + link_derivative(sigma, t * z) * minus)
-
-    def v(z):
-        span = link_eval(sigma, t * z) + link_eval(sigma, -t * z)
-        return label_var * span * span
-
-    e = g.engine.expect
-    return (e(le_sq) + e(v) / m ** 2) / (t ** 2 * e(he) ** 2)
-
-
-def _majority_multiplier(g: GapFunction, t: float) -> float:
-    sigma = g.model_link
-    plus, minus = g.label_probs
-
-    def num(z):
-        return (link_eval(sigma, -t * z) ** 2 * plus
-                + link_eval(sigma, t * z) ** 2 * minus)
-
-    e = g.engine.expect
-    den = e(lambda z: link_derivative(sigma, t * z))
-    return e(num) / (t ** 2 * den ** 2)
-
-
-def _fixed_norm_multiplier(kind: PredictionKind, model: ModelSpec,
-                           engine: ZExpectationEngine) -> float:
-    """Multiplier of the kinds whose norm is t* itself: the per-labeler link
-    formula E[sum_j p_j (1 - p_j)] / (t*^2 E[sum_j sigma_j'(t* Z)]^2) with
-    p_j = sigma_j(t* Z); well-specified needs every labeler on one link and
-    raises ``ValueError`` otherwise.
-
-    Semiparametric and crowdsourcing both fit with the true links (estimated
-    consistently), whose loss has gradient coefficients of variance
-    p_j (1 - p_j) and Hessian weights sigma_j'; for a scaled-logistic link
-    sigma_j' = alpha_j p_j (1 - p_j), so variance and Hessian differ."""
-    t_star, m = model.t_star, model.m
-    distinct, index = group_links(model.links)
-    counts = np.bincount(index)
-    if kind is PredictionKind.WELL_SPECIFIED:
-        if len(distinct) > 1:
-            raise ValueError("well-specified theory needs one link shared by "
-                             "every labeler")
-        counts = np.ones(1)
-
-    def label_var(z):
-        p = np.array([link_eval(link, t_star * z) for link in distinct])
-        return counts @ (p * (1.0 - p)) / counts.sum()
-
-    def slope(z):
-        return counts @ np.array([link_derivative(link, t_star * z)
-                                  for link in distinct]) / counts.sum()
-
-    return engine.expect(label_var) / (m * t_star ** 2 * engine.expect(slope) ** 2)
-
-
 def predict_covariance(kind: PredictionKind, model: ModelSpec,
                        model_link: LinkSpec | None = None) -> TheoryPrediction:
     """Asymptotic covariance of sqrt(n)(u_hat - u*) for the requested estimator.
 
-    Returns the scalar variance multiplier and the full matrix
-    multiplier * (P_perp Sigma P_perp)^+; the multi-label and majority-vote
-    kinds first solve for the population norm t_m of the misspecified fit
-    under ``model_link`` (default logistic). Crowdsourcing reads each
-    labeler's reliability from its scaled-logistic true link and equals
-    semiparametric on the same model; tabulated true links raise
-    ``ValueError``. Every integral uses the default ZExpectationEngine of
-    the model's covariates, resolved to the links. Labelers with equal links
-    are one integrand term weighted by their count. The error estimates
-    compare with the coarse rule.
+    Returns the variance multiplier, the sandwich of the estimator's fitted
+    loss (_sandwich), and the matrix multiplier * (P_perp Sigma P_perp)^+.
+    Multi-label and majority vote fit ``model_link`` (default logistic) at
+    the population norm t_m they first solve for. Well-specified (one link
+    shared by every labeler), semiparametric and crowdsourcing fit the true
+    links at t_m = t*, the minimizer only for symmetric true links,
+    sigma(-u) = 1 - sigma(u); other links raise ``ValueError``, and so do
+    tabulated ones for crowdsourcing, which reads each labeler's reliability
+    from its scaled-logistic link. Every integral uses the default
+    ZExpectationEngine of the model's covariates, resolved to the links;
+    the error estimates compare with its coarse rule.
     """
     engine = ZExpectationEngine(dist=model.covariates)
     if model_link is None:
         model_link = logistic_link()
-    t_star, m = model.t_star, model.m
+    t_star = model.t_star
     base = _projected_pinv(model.covariates, model.u_star)
 
     if kind in (PredictionKind.MULTI_LABEL_EXACT, PredictionKind.MAJORITY_VOTE_EXACT):
-        if kind is PredictionKind.MULTI_LABEL_EXACT:
-            mode, multiplier = GapMode.MULTI_LABEL, _multilabel_multiplier
-        else:
-            mode, multiplier = GapMode.MAJORITY_VOTE, _majority_multiplier
-        g = GapFunction(mode=mode, t_star=t_star, m=m, model_link=model_link,
+        mode = (GapMode.MULTI_LABEL if kind is PredictionKind.MULTI_LABEL_EXACT
+                else GapMode.MAJORITY_VOTE)
+        g = GapFunction(mode=mode, t_star=t_star, m=model.m, model_link=model_link,
                         true_links=model.links, engine=engine)
         t_m = solve_tm(g)
         # the coarse rule's root, by one Newton step of its gap function
         coarse_t_m = t_m - gap_eval(g.coarse, t_m) / _gap_slope(g.coarse, t_m)
-        mult = multiplier(g, t_m)
-        coarse = multiplier(g.coarse, coarse_t_m)
+        mult = _sandwich(g.engine, g._groups, t_m)
+        coarse = _sandwich(g.coarse.engine, g.coarse._groups, coarse_t_m)
         t_m_error = abs(t_m - coarse_t_m) + ROOT_XTOL + ROUNDOFF * t_m
         iterations = g.root[1]
     elif kind in (PredictionKind.WELL_SPECIFIED, PredictionKind.SEMIPARAMETRIC,
                   PredictionKind.CROWDSOURCING):
+        distinct, index = group_links(model.links)
         if kind is PredictionKind.CROWDSOURCING and any(
-                link.family is LinkFamily.TABULATED_MONOTONE for link in model.links):
+                link.family is LinkFamily.TABULATED_MONOTONE for link in distinct):
             raise ValueError("crowd theory needs (scaled-)logistic true links")
-        engine = _resolve_for_links(engine, group_links(model.links)[0], t_star)
-        mult = _fixed_norm_multiplier(kind, model, engine)
-        coarse = _fixed_norm_multiplier(kind, model, engine.coarse())
+        if not all(link.symmetric for link in distinct):
+            raise ValueError(f"{kind.value} theory needs symmetric true links")
+        if kind is PredictionKind.WELL_SPECIFIED and len(distinct) > 1:
+            raise ValueError("well-specified theory needs one link shared by "
+                             "every labeler")
+        engine = _resolve_for_links(engine, distinct, t_star)
+
+        def multiplier(e: ZExpectationEngine) -> float:
+            groups, margins = [], t_star * e.nodes
+            for link, M in zip(distinct, np.bincount(index)):
+                p = link_eval(link, margins)  # M labels, each +1 with probability p
+                plus, q = M * p, 1.0 - p
+                groups.append((link, M, plus, M * q, plus * q))
+            return _sandwich(e, groups, t_star)
+
+        mult, coarse = multiplier(engine), multiplier(engine.coarse())
         t_m, t_m_error, iterations = t_star, 0.0, 0
     else:
         raise ValueError(f"unknown prediction kind: {kind}")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from labelsim import (
     CovariateKind,
@@ -263,6 +263,9 @@ def test_covariate_distributions():
     assert g.noise_exponent == 1.0
     assert g.c_z == pytest.approx(np.sqrt(2 / np.pi))
     assert np.allclose(g.covariance(), np.eye(4))
+    # the Gaussian |Z| density is scipy's, bit for bit
+    z = np.concatenate([np.linspace(0.0, 40.0, 4001), [1e-300, 1e-8, 37.5]])
+    assert np.array_equal(g.z_abs_density(z), 2.0 * stats.norm.pdf(z))
 
     u = np.array([3.0, 4.0, 0.0])
     b = beta_regular(3, 2.0, u)

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, optimize, special, stats
 
 from labelsim import theory
-from labelsim.estimators import _reduce
+from labelsim.estimators import _CountKernel, _reduce
 from labelsim.links import mirror_symmetric
 
 from labelsim import (
@@ -569,24 +569,90 @@ def test_crowd_prediction_rejects_tabulated_true_links():
         predict_covariance(PredictionKind.CROWDSOURCING, _model(1.0, 2, links=(tab, LR)))
 
 
+def _asymmetric_link():
+    # steeper above 0 than below: sigma(-u) != 1 - sigma(u)
+    grid = np.linspace(-8.0, 8.0, 161)
+    return tabulated_link(grid, special.expit(np.where(grid < 0, 0.6, 2.0) * grid))
+
+
 def test_crowd_prediction_matches_crowd_loss_sandwich():
-    # the crowd loss at theta* on one large sample: per-row gradient
+    # the fitted loss at theta = t_m u* on one large sample: per-row gradient
     # coefficients c_i and Hessian weights h_i give the multiplier
-    # E[c^2] / (t*^2 E[h]^2) (Z and the orthogonal covariates are independent);
-    # its delta-method standard error sets the bound
-    model = _model(1.0, 3, links=tuple(scaled_logistic_link(a) for a in (0.5, 1.0, 2.0)))
-    n, t_star = 400_000, model.t_star
-    ds = sample_dataset(model, n, seed=12)
-    spec = LossSpec(mode=LossMode.CROWD_SCALED, links=model.links)
-    _, coef, w = _reduce(spec, ds)(ds.X @ model.theta_star)
-    v, h = (coef * n * model.m) ** 2, w * n * model.m
-    a, b = v.mean(), h.mean()
-    empirical = a / (t_star * b) ** 2
-    influence = ((v - a) / b ** 2 - 2.0 * a * (h - b) / b ** 3) / t_star ** 2
-    se = influence.std(ddof=1) / np.sqrt(n)
-    pred = predict_covariance(PredictionKind.CROWDSOURCING, model).variance_multiplier
-    assert 4.5 * se <= 0.02 * pred  # resolves an error of a few percent
-    assert abs(empirical - pred) <= 4.5 * se, (empirical, pred, se)
+    # E[c^2] / (t_m^2 E[h]^2) (Z and the orthogonal covariates are
+    # independent); its delta-method standard error and the prediction's own
+    # error estimate set the bound. Crowd fits the true links; majority vote
+    # here fits a model link that is not symmetric, whose Hessian weight
+    # E[phi+ sigma'(-tZ) + phi- sigma'(tZ)] is not E[sigma'(tZ)]
+    crowd = _model(1.0, 3, links=tuple(scaled_logistic_link(a) for a in (0.5, 1.0, 2.0)))
+    cases = [(PredictionKind.CROWDSOURCING, crowd,
+              LossSpec(mode=LossMode.CROWD_SCALED, links=crowd.links), None),
+             (PredictionKind.MAJORITY_VOTE_EXACT, _model(2.0, 3),
+              LossSpec(mode=LossMode.MAJORITY_VOTE, model_link=_asymmetric_link()),
+              _asymmetric_link())]
+    n = 400_000
+    for kind, model, spec, model_link in cases:
+        pred = predict_covariance(kind, model, model_link=model_link)
+        ds = sample_dataset(model, n, seed=12)
+        kernel = _reduce(spec, ds)
+        _, coef, w = kernel(ds.X @ (pred.t_m * model.u_star))
+        v, h = (coef * kernel.scale) ** 2, w * kernel.scale
+        a, b = v.mean(), h.mean()
+        empirical = a / (pred.t_m * b) ** 2
+        influence = ((v - a) / b ** 2 - 2.0 * a * (h - b) / b ** 3) / pred.t_m ** 2
+        se = influence.std(ddof=1) / np.sqrt(n)
+        mult = pred.variance_multiplier
+        assert 4.5 * se <= 0.02 * mult, kind  # resolves an error of a few percent
+        assert abs(empirical - mult) <= 4.5 * se + pred.multiplier_error, (
+            kind, empirical, mult, se)
+
+
+def test_majority_m1_equals_multilabel_for_any_model_link():
+    # one labeler's majority vote is its label, so the two estimators are
+    # one loss: same root, and multipliers within their error estimates,
+    # whether or not the model link is symmetric
+    model = _model(2.0, 1)
+    for sigma in (LR, _asymmetric_link()):
+        mv = predict_covariance(PredictionKind.MAJORITY_VOTE_EXACT, model, model_link=sigma)
+        ml = predict_covariance(PredictionKind.MULTI_LABEL_EXACT, model, model_link=sigma)
+        assert mv.t_m == pytest.approx(ml.t_m, rel=1e-12)
+        assert abs(mv.variance_multiplier - ml.variance_multiplier) <= (
+            mv.multiplier_error + ml.multiplier_error), sigma.family
+
+
+def test_fixed_norm_kinds_reject_asymmetric_true_links():
+    # the link loss's population gradient at theta* is
+    # E[X sigma(u) (1 - sigma(u) - sigma(-u))], zero only for a symmetric
+    # link, so t* is not the norm of the fit under an asymmetric true link
+    model = _model(1.0, 3, links=(_asymmetric_link(),) * 3)
+    for kind in (PredictionKind.WELL_SPECIFIED, PredictionKind.SEMIPARAMETRIC):
+        with pytest.raises(ValueError, match="symmetric"):
+            predict_covariance(kind, model)
+    mixed = _model(1.0, 3, links=(LR, _asymmetric_link(), LR))
+    with pytest.raises(ValueError, match="symmetric"):
+        predict_covariance(PredictionKind.SEMIPARAMETRIC, mixed)
+
+
+def test_kernel_moments_match_count_kernel():
+    # at fractional expected counts the theory's per-node moments are the
+    # fit's count kernel terms (before its 1 / (n M) scale): E[c | z] and
+    # E[w | z] are linear in the counts
+    rng = np.random.default_rng(5)
+    u = np.concatenate([[30.0, -30.0, 9.0, -9.0, 0.0, -0.0, 1e-3, -1e-3],
+                        4.0 * rng.standard_normal(48)])
+    grid = np.linspace(-3.0, 3.0, 13)
+    table = tabulated_link(grid, 0.5 + 0.4 * np.tanh(grid))
+    assert table.symmetric and not _asymmetric_link().symmetric
+    links = [scaled_logistic_link(0.5), table, _asymmetric_link()]
+    cases = [[(link, 3)] for link in links] + [list(zip(links, (2, 5, 3)))]
+    for case in cases:
+        plus = [M * rng.uniform(size=u.size) for _, M in case]
+        kernel = _CountKernel([(link, M, k) for (link, M), k in zip(case, plus)])
+        _, coef, weight = kernel(u)
+        groups = [(link, M, k, M - k, k * (M - k) / M) for (link, M), k in zip(case, plus)]
+        mean, _, slope = theory._kernel_moments(groups, 1.0, u)
+        M = kernel.M
+        assert np.max(np.abs(mean / M - coef * u.size)) <= 1e-13, case
+        assert np.max(np.abs(slope / M - weight * u.size)) <= 1e-13, case
 
 
 def test_multilabel_multiplier_scales_exactly_one_over_m():
