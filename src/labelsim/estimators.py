@@ -23,18 +23,29 @@ sum_g M_g v_g. Any other group keeps the two-sided form, evaluated at u and
 -u. A kernel call, ``kernel(u) -> (loss, c, w)``, evaluates each link once
 per side through ``links.link_terms`` (S, sigma and sigma' together).
 
-``fit`` reduces the labels to a kernel and copies X to a contiguous X^T
-once (each Hessian is then one matrix product), then runs damped Newton
-until the gradient norm reaches ``grad_tol``, theta diverges, no step
-decreases the loss, or the Newton decrement lambda^2 = g^T H^{-1} g falls to
-the loss's round-off (Boyd & Vandenberghe, Convex Optimization, 9.5.1). In
-the last case it takes the full Newton step, whose decrease a line search
-cannot resolve.
+``fit`` reduces the labels to a kernel once, then runs one damped Newton
+loop (``_newton``; each Hessian is one matrix product with a contiguous
+copy of X^T) until the gradient norm reaches ``grad_tol``, theta diverges,
+no step decreases the loss, ``max_iters`` runs out, or the Newton decrement
+lambda^2 = g^T H^{-1} g falls to the loss's round-off (Boyd & Vandenberghe,
+Convex Optimization, 9.5.1). In the last case it takes the full Newton
+step, whose decrease a line search cannot resolve. A fit converged when it
+stopped on ``grad_tol`` or on the decrement.
+
+Without a start ``theta0``, a fit on at least ``WARM_MIN_ROWS`` rows first
+runs the same loop on every ``WARM_STRIDE``-th row, the kernel's counts
+sliced (``_CountKernel.rows``), to the loose ``WARM_GRAD_TOL``. Newton
+converges quadratically near the optimum (9.5.3), so from the subsample's
+optimum the full-data loop needs 3-4 iterations instead of 6-10 from zero.
+A subsample fit that ends separable, diverged or unconverged is dropped and
+the full-data loop starts from zero. The full-data loop alone decides the
+result, so every fit meets the same stopping rule on all n rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
 
@@ -69,6 +80,17 @@ __all__ = [
 # A Newton decrement below this share of max(1, |loss|) is within the
 # round-off of the loss, where the Armijo test cannot see the decrease.
 DECREMENT_ROUNDOFF = 64 * np.finfo(float).eps
+
+# The stops of a converged Newton loop; the others are "max_iters",
+# "no_descent" and "diverged".
+CONVERGED_STOPS = ("grad_tol", "decrement")
+
+# A fit from theta = 0 on at least WARM_MIN_ROWS rows first solves on every
+# WARM_STRIDE-th row to WARM_GRAD_TOL; a stride, not a prefix, samples
+# row-ordered data across its range.
+WARM_STRIDE = 16
+WARM_MIN_ROWS = 16 * 128
+WARM_GRAD_TOL = 1e-6
 
 
 class NonConvergence(RuntimeError):
@@ -177,6 +199,21 @@ class _CountKernel:
         deriv /= self.scale
         return float(loss / self.scale), value, deriv
 
+    def rows(self, index: slice) -> _CountKernel:
+        """This kernel on the rows ``index`` of its data: the count vectors
+        sliced (and copied contiguous), so that every label, majority vote
+        and link group stays that of the full data."""
+        def take(a):
+            return np.ascontiguousarray(a[index])
+
+        sub = copy.copy(self)
+        if self.one_sided:
+            sub.k = take(self.k)
+        sub.two_sided = [(link, M, take(k)) for link, M, k in self.two_sided]
+        sub.count = take(self.count)
+        sub.scale = sub.count.size * self.M
+        return sub
+
     def separated(self, u: np.ndarray) -> bool:
         return bool(np.all(np.where(u > 0, self.count == self.M,
                                     (u < 0) & (self.count == 0))))
@@ -236,21 +273,20 @@ def _hessian(X: np.ndarray, XT: np.ndarray, w: np.ndarray) -> np.ndarray:
     return X.T @ (XT * w).T
 
 
-def fit(spec: LossSpec, dataset: MultiLabelDataset,
-        opts: SolverOptions = SolverOptions(), theta0=None) -> FitResult:
-    """Minimize the empirical loss by damped Newton with backtracking.
+def _separable(kernel: _CountKernel, theta, u, opts: SolverOptions) -> bool:
+    """theta diverged, or is large and separates every training label: the
+    loss has no finite minimizer."""
+    norm = np.linalg.norm(theta)
+    return bool(norm > opts.divergence_threshold
+                or (norm >= 10.0 and kernel.separated(u)))
 
-    Falls back to a gradient step whenever the (ridge-regularized) Hessian
-    solve fails or does not give a descent direction. A fit whose theta
-    diverged or separates every training label has no finite minimizer and
-    reports separable=True; any other fit is converged when ||grad|| <=
-    max(grad_tol, 1e-8) and raises NonConvergence when it is not.
-    """
-    if dataset.n == 0:
-        raise ValueError("dataset is empty")
-    d, X, ridge = dataset.d, dataset.X, opts.ridge
-    theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    kernel, u = _kernel_and_margins(spec, theta, dataset)
+
+def _newton(kernel: _CountKernel, X: np.ndarray, theta: np.ndarray,
+            opts: SolverOptions):
+    """Damped Newton with backtracking on ``kernel`` over the rows of X,
+    from theta. Returns (theta, u = X theta, ||grad||, iterations, stop),
+    stop the reason it stopped (``FitResult.stop_reason``)."""
+    d, ridge = X.shape[1], opts.ridge
     XT = np.ascontiguousarray(X.T)
 
     def evaluate(th, u):
@@ -258,10 +294,19 @@ def fit(spec: LossSpec, dataset: MultiLabelDataset,
         loss, coef, w = kernel(u)
         return loss + 0.5 * ridge * float(th @ th), X.T @ coef + ridge * th, w
 
+    u = X @ theta
     loss, g, w = evaluate(theta, u)
     iterations = 0
-    while (iterations < opts.max_iters and np.linalg.norm(g) > opts.grad_tol
-           and np.linalg.norm(theta) <= opts.divergence_threshold):
+    while True:
+        if np.linalg.norm(g) <= opts.grad_tol:
+            stop = "grad_tol"
+            break
+        if np.linalg.norm(theta) > opts.divergence_threshold:
+            stop = "diverged"
+            break
+        if iterations >= opts.max_iters:
+            stop = "max_iters"
+            break
         H = _hessian(X, XT, w) + ridge * np.eye(d)
         # freed before the candidates allocate theirs (peak memory); the
         # line search binds each candidate's weights to w
@@ -289,19 +334,51 @@ def fit(spec: LossSpec, dataset: MultiLabelDataset,
                 break
             eta *= 0.5
         else:
-            break  # no step decreases the loss
+            stop = "no_descent"
+            break
         theta, u, loss, g = cand, cand_u, cand_loss, cand_g
         iterations += 1
         if last:
+            stop = "decrement"
             break
+    return theta, u, float(np.linalg.norm(g)), iterations, stop
 
-    gnorm = float(np.linalg.norm(g))
-    separable = bool(np.linalg.norm(theta) > opts.divergence_threshold
-                     or (np.linalg.norm(theta) >= 10.0 and kernel.separated(u)))
-    converged = not separable and gnorm <= max(opts.grad_tol, 1e-8)
+
+def fit(spec: LossSpec, dataset: MultiLabelDataset,
+        opts: SolverOptions = SolverOptions(), theta0=None) -> FitResult:
+    """Minimize the empirical loss by damped Newton with backtracking.
+
+    Falls back to a gradient step whenever the (ridge-regularized) Hessian
+    solve fails or does not give a descent direction. Without ``theta0``, a
+    fit on at least ``WARM_MIN_ROWS`` rows starts from the optimum of every
+    ``WARM_STRIDE``-th row (solved to ``WARM_GRAD_TOL``), or from zeros when
+    that subsample fit ends separable or without meeting its tolerance. The
+    full-data loop alone decides the result: a fit whose theta diverged or
+    separates every training label has no finite minimizer and reports
+    separable=True; any other fit is converged when it stopped on
+    ``grad_tol`` or on the decrement rule, and raises NonConvergence when
+    it did not.
+    """
+    if dataset.n == 0:
+        raise ValueError("dataset is empty")
+    theta = np.zeros(dataset.d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    _check_dims(spec, theta, dataset)
+    kernel, X = _reduce(spec, dataset), dataset.X
+    warm_iterations = 0
+    if theta0 is None and dataset.n >= WARM_MIN_ROWS:
+        rows = slice(None, None, WARM_STRIDE)
+        sub = kernel.rows(rows)
+        warm_opts = replace(opts, grad_tol=max(opts.grad_tol, WARM_GRAD_TOL))
+        start, sub_u, _, warm_iterations, stop = _newton(sub, X[rows], theta, warm_opts)
+        if stop in CONVERGED_STOPS and not _separable(sub, start, sub_u, opts):
+            theta = start
+    theta, u, gnorm, iterations, stop = _newton(kernel, X, theta, opts)
+    separable = _separable(kernel, theta, u, opts)
+    converged = not separable and stop in CONVERGED_STOPS
     if not (separable or converged):
         raise NonConvergence(f"no convergence in {iterations} iterations "
-                             f"(|grad|={gnorm:.3e})")
+                             f"(stopped on {stop}, |grad|={gnorm:.3e})")
     return FitResult(theta_hat=theta, iterations=iterations,
                      final_gradient_norm=gnorm, separable=separable,
-                     converged=converged)
+                     converged=converged, stop_reason=stop,
+                     warm_iterations=warm_iterations)

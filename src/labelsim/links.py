@@ -491,13 +491,21 @@ class MultiLabelDataset:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Solver output: parameter estimate plus diagnostics."""
+    """Solver output: parameter estimate plus diagnostics.
+
+    ``iterations`` counts the Newton steps on all rows, ``warm_iterations``
+    those of the subsample fit that chose the start (0 when there was
+    none), and ``stop_reason`` says why the full-data loop stopped:
+    "grad_tol", "decrement", "max_iters", "no_descent" or "diverged".
+    """
 
     theta_hat: np.ndarray
     iterations: int
     final_gradient_norm: float
     separable: bool
-    converged: bool = True
+    converged: bool
+    stop_reason: str
+    warm_iterations: int
 
     @property
     def u_hat(self) -> np.ndarray:

@@ -489,15 +489,6 @@ class GapFunction:
         t_m, result = optimize.brentq(lambda t: gap_eval(self, t), lo, hi,
                                       xtol=ROOT_XTOL, rtol=ROOT_RTOL,
                                       full_output=True)
-        # majority vote sharpens the labels, so the model link's margin at
-        # the root, alpha t_m, is at least t* (alpha = 1 for a tabulated link)
-        sigma = self.model_link
-        alpha = 1.0 if sigma.family is LinkFamily.TABULATED_MONOTONE else sigma.alpha
-        if (self.mode is GapMode.MAJORITY_VOTE
-                and alpha * t_m < self.t_star * (1.0 - 1e-6)):
-            raise ValueError(
-                f"majority-vote root alpha*t_m={alpha * t_m:.6g} fell below "
-                f"t*={self.t_star:.6g}")
         return t_m, expansions + result.iterations
 
 

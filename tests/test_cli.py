@@ -128,6 +128,21 @@ def test_theory_majority_m1_equals_well_specified(tmp_path):
     assert multiplier(out_mv) == pytest.approx(multiplier(out_ws), abs=1e-9)
 
 
+def test_theory_majority_accepts_flat_labeler_links(tmp_path):
+    # labelers flatter than the model link: the majority root t_m = 0.4
+    # lies below t*, as the multi-label one does
+    rows = {}
+    for kind in ("majority", "multilabel"):
+        out = str(tmp_path / f"{kind}.csv")
+        assert main(["theory", "--kind", kind, "--m", "1", "--d", "5",
+                     "--tstar", "2", "--link-alpha", "0.2", "--output", out]) == 0
+        data = [line for line in open(out).read().splitlines()
+                if not line.startswith("#")]
+        rows[kind] = data[1].split(",")
+    assert float(rows["majority"][3]) == pytest.approx(0.4, rel=1e-9)
+    assert rows["majority"][3:] == rows["multilabel"][3:]
+
+
 def test_theory_link_alpha_sets_the_labeler_link(tmp_path):
     def multiplier(link_alpha):
         out = str(tmp_path / f"ws{link_alpha}.csv")

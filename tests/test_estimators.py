@@ -25,7 +25,14 @@ from labelsim import (
     scaled_logistic_link,
     tabulated_link,
 )
-from labelsim.estimators import _hessian, _reduce
+from labelsim.estimators import (
+    WARM_MIN_ROWS,
+    WARM_STRIDE,
+    NonConvergence,
+    _CountKernel,
+    _hessian,
+    _reduce,
+)
 
 
 def _random_dataset(rng, n=40, d=3, m=4):
@@ -264,17 +271,115 @@ def test_fit_recovers_direction():
 
 
 def test_fit_does_not_stall_at_loss_roundoff():
-    # On this draw the last Newton steps decrease the loss by less than its
-    # round-off, so an Armijo search alone accepts near-zero steps without
-    # ever reaching grad_tol; the decrement rule takes the full step instead.
+    # On this draw the last Newton step decreases the loss by less than its
+    # round-off, from the warm start and from zeros alike; the decrement
+    # rule takes the full step and stops. Without it, the Armijo search
+    # alone accepts near-zero steps (with one BLAS thread, until max_iters);
+    # either way the fit would not stop on "decrement".
     lr = logistic_link()
     model = ModelSpec(theta_star=np.array([2.0, 0.0, 0.0, 0.0, 0.0]),
                       links=(lr,) * 16, covariates=isotropic_gaussian(5))
-    ds = sample_dataset(model, 20_000, seed=0, trial=15)
-    res = fit(LossSpec(mode=LossMode.MULTI_LABEL), ds)
-    assert res.converged and not res.separable
-    assert res.iterations <= 30
-    assert res.final_gradient_norm <= 1e-10
+    ds = sample_dataset(model, 20_000, seed=0, trial=3)
+    for theta0 in (None, np.zeros(5)):
+        res = fit(LossSpec(mode=LossMode.MULTI_LABEL), ds, theta0=theta0)
+        assert res.converged and not res.separable
+        assert res.stop_reason == "decrement"
+        assert res.iterations <= 30
+        assert res.final_gradient_norm <= 1e-10
+
+
+def test_fit_capped_above_grad_tol_raises():
+    # one stopping rule: a fit cut off by max_iters has not converged, even
+    # with ||grad|| within 1e-8
+    rng = np.random.default_rng(14)
+    ds = _random_dataset(rng, n=400)
+    spec = LossSpec(mode=LossMode.MULTI_LABEL)
+    theta = fit(spec, ds).theta_hat
+    H = loss_hessian(spec, theta, ds)
+    start = theta + np.linalg.solve(H, np.full(ds.d, 2e-9))
+    assert 1e-10 < np.linalg.norm(loss_gradient(spec, start, ds)) <= 1e-8
+    with pytest.raises(NonConvergence, match="max_iters"):
+        fit(spec, ds, SolverOptions(max_iters=0), theta0=start)
+    res = fit(spec, ds, SolverOptions(max_iters=5), theta0=start)
+    assert res.converged and res.stop_reason in ("grad_tol", "decrement")
+
+
+def _warm_dataset(seed, n, m=4):
+    lr = logistic_link()
+    model = ModelSpec(theta_star=np.array([2.0, 0.0, 0.0]), links=(lr,) * m,
+                      covariates=isotropic_gaussian(3))
+    return sample_dataset(model, n, seed=seed)
+
+
+def test_sub_kernel_equals_reduce_on_strided_rows():
+    # the warm start's kernel is the full kernel's counts sliced; on strided
+    # rows that is the kernel of the strided data set, except for majority
+    # vote, whose tie-break coins follow the full data's rows
+    ds = _warm_dataset(15, 1000)
+    rows = slice(None, None, WARM_STRIDE)
+    strided = MultiLabelDataset(X=ds.X[rows], Y=ds.Y[rows])
+    u = strided.X @ np.array([1.0, -0.5, 0.25])
+    skewed = _model_links()[3]
+    specs = _all_specs(ds.m) + [
+        LossSpec(mode=LossMode.MULTI_LABEL, model_link=skewed),
+        LossSpec(mode=LossMode.MAJORITY_VOTE, model_link=skewed, tie_seed=5),
+        LossSpec(mode=LossMode.PER_LABELER,
+                 links=(skewed, logistic_link(), skewed, scaled_logistic_link(0.5)))]
+    for spec in specs:
+        full = _reduce(spec, ds)
+        sub = full.rows(rows)
+        assert sub.count.size == strided.n
+        if spec.mode is LossMode.MAJORITY_VOTE:
+            assert np.array_equal(sub.count, full.count[::WARM_STRIDE])
+            want = _CountKernel([(spec.model_link, 1, full.count[::WARM_STRIDE])])(u)
+        else:
+            want = _reduce(spec, strided)(u)
+        for g, w in zip(sub(u), want):
+            assert np.array_equal(g, w), spec.mode
+        assert full.count.size == ds.n  # the full kernel is untouched
+
+
+def test_warm_start_cuts_full_data_iterations():
+    ds = _warm_dataset(16, 20_000, m=16)
+    for spec in (LossSpec(mode=LossMode.MULTI_LABEL),
+                 LossSpec(mode=LossMode.MAJORITY_VOTE, tie_seed=16)):
+        warm = fit(spec, ds)
+        cold = fit(spec, ds, theta0=np.zeros(ds.d))
+        assert warm.warm_iterations > 0 and cold.warm_iterations == 0
+        assert warm.iterations <= cold.iterations - 2, spec.mode
+        assert warm.final_gradient_norm <= 1e-10
+        assert np.max(np.abs(warm.u_hat - cold.u_hat)) <= 1e-9
+
+
+def test_warm_start_skipped_with_theta0_or_few_rows():
+    # below the row floor, or from a given start, the fit is the one loop
+    # from that start, bit for bit
+    spec = LossSpec(mode=LossMode.MULTI_LABEL)
+    small = _warm_dataset(17, WARM_MIN_ROWS - 1)
+    res = fit(spec, small)
+    ref = fit(spec, small, theta0=np.zeros(small.d))
+    assert res.warm_iterations == 0
+    assert np.array_equal(res.theta_hat, ref.theta_hat)
+    assert res.iterations == ref.iterations
+    large = _warm_dataset(17, WARM_MIN_ROWS)
+    assert fit(spec, large).warm_iterations > 0
+    assert fit(spec, large, theta0=np.ones(large.d)).warm_iterations == 0
+
+
+def test_separable_subsample_falls_back_to_zeros():
+    # every 16th row is labelled without noise, so the subsample separates
+    # and its fit diverges; the full data does not, and its fit starts
+    # from zeros
+    ds = _warm_dataset(18, 4 * WARM_MIN_ROWS, m=1)
+    Y = ds.Y.copy()
+    Y[::WARM_STRIDE, 0] = np.where(ds.X[::WARM_STRIDE, 0] >= 0, 1, -1)
+    ds = MultiLabelDataset(X=ds.X, Y=Y)
+    spec = LossSpec(mode=LossMode.MULTI_LABEL)
+    res = fit(spec, ds)
+    ref = fit(spec, ds, theta0=np.zeros(ds.d))
+    assert res.warm_iterations > 0 and res.converged
+    assert np.array_equal(res.theta_hat, ref.theta_hat)
+    assert res.iterations == ref.iterations
 
 
 def test_fit_gradient_is_stationary_all_modes():

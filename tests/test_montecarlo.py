@@ -9,6 +9,7 @@ from labelsim import (
     isotropic_gaussian,
     logistic_link,
     run_experiment,
+    scaled_logistic_link,
     scaling_study,
 )
 
@@ -114,6 +115,19 @@ def test_majority_estimator_runs():
                                      estimator="majority"))
     assert summary.excluded_count == 0
     assert summary.theory.t_m > 1.0  # calibrated norm exceeds t* for m > 1
+
+
+def test_majority_on_labelers_flatter_than_the_model_link_runs():
+    # alpha = 0.2 labelers under the logistic model link: the majority
+    # root lies below t*
+    model = ModelSpec(theta_star=np.array([2.0, 0.0, 0.0]),
+                      links=(scaled_logistic_link(0.2),) * 4,
+                      covariates=isotropic_gaussian(3))
+    summary = run_experiment(ExperimentConfig(model=model, estimator="majority",
+                                              n=4000, trials=10, seed=5))
+    assert summary.excluded_count == 0
+    assert 0.0 < summary.theory.t_m < 2.0
+    assert np.isfinite(summary.theory.variance_multiplier)
 
 
 def test_scaling_study_slope_well_specified():

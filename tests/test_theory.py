@@ -619,6 +619,22 @@ def test_majority_m1_equals_multilabel_for_any_model_link():
             mv.multiplier_error + ml.multiplier_error), sigma.family
 
 
+def test_majority_m1_equals_multilabel_on_flat_true_links():
+    # a true link flatter than the model link puts the root below t*, for
+    # majority vote as for multi-label; at m = 1 the two are one estimator
+    for a in (0.2, 0.5, 1.0, 3.0):
+        model = _model(2.0, 1, links=(scaled_logistic_link(a),), d=5)
+        mv = predict_covariance(PredictionKind.MAJORITY_VOTE_EXACT, model)
+        ml = predict_covariance(PredictionKind.MULTI_LABEL_EXACT, model)
+        assert mv.t_m == pytest.approx(ml.t_m, rel=1e-12, abs=0.0), a
+        assert mv.variance_multiplier == pytest.approx(
+            ml.variance_multiplier, rel=1e-12, abs=0.0), a
+    assert mv.t_m > 2.0  # alpha = 3: sharper than the model link
+    model = _model(2.0, 1, links=(scaled_logistic_link(0.2),), d=5)
+    assert predict_covariance(PredictionKind.MAJORITY_VOTE_EXACT,
+                              model).t_m == pytest.approx(0.4, rel=1e-9)
+
+
 def test_fixed_norm_kinds_reject_asymmetric_true_links():
     # the link loss's population gradient at theta* is
     # E[X sigma(u) (1 - sigma(u) - sigma(-u))], zero only for a symmetric
