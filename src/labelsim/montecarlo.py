@@ -8,9 +8,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import sample_dataset
+from .datagen import sample_dataset, sample_labels
 from .estimators import LossMode, LossSpec, NonConvergence, fit
-from .links import LinkSpec, ModelSpec, TheoryPrediction, logistic_link
+from .links import (
+    LinkSpec,
+    ModelSpec,
+    MultiLabelDataset,
+    TheoryPrediction,
+    logistic_link,
+)
 from .semiparam import (
     IsotonicFitOptions,
     crowdsourced_fit,
@@ -91,10 +97,9 @@ class ScalingStudy:
     slope: float
 
 
-def _run_trial(config: ExperimentConfig, trial: int):
-    """One seeded trial; returns (u_hat, flag, n_eff)."""
+def _fit_trial(config: ExperimentConfig, trial: int, ds: MultiLabelDataset):
+    """Fit one trial's dataset; returns (u_hat, flag, n_eff)."""
     model = config.model
-    ds = sample_dataset(model, config.n, config.seed, trial)
     try:
         if config.estimator == "multilabel":
             res = fit(LossSpec(mode=LossMode.MULTI_LABEL,
@@ -125,27 +130,29 @@ def _run_trial(config: ExperimentConfig, trial: int):
     return res.u_hat, "", n_eff
 
 
-def run_experiment(config: ExperimentConfig) -> TrialSummary:
-    """Run config.trials seeded trials, aggregate them and compare with the
-    estimator's theory prediction (``predict_covariance`` of the model under
-    the config's model link; crowd reads its reliabilities from the model's
-    scaled-logistic true links).
+def _run_trial(configs: list[ExperimentConfig], trial: int) -> list[tuple]:
+    """One seeded trial of every config on one draw of covariates: the first
+    config samples its whole dataset, each later one only its labels on the
+    same X. Returns one (u_hat, flag, n_eff) per config."""
+    first = configs[0]
+    ds = sample_dataset(first.model, first.n, first.seed, trial)
+    X = ds.X
+    outcomes = [_fit_trial(first, trial, ds)]
+    for config in configs[1:]:
+        del ds  # free the previous labels before drawing the next
+        ds = MultiLabelDataset(X=X, Y=sample_labels(config.model, X,
+                                                    config.seed, trial))
+        outcomes.append(_fit_trial(config, trial, ds))
+    return outcomes
 
-    Separable/degenerate/non-convergent trials are excluded and counted;
-    raises TooFewIncludedTrials when exclusions exceed the 20% cap.
-    """
+
+def _summarize(config: ExperimentConfig, u_rows: np.ndarray, flags: list[str],
+               n_eff: int) -> TrialSummary:
+    """Aggregate one config's trials and compare them with its theory
+    prediction; raises TooFewIncludedTrials over the exclusion cap."""
     model = config.model
     d = model.d
     u_star = model.u_star
-    u_rows = np.full((config.trials, d), np.nan)
-    flags = []
-    n_eff = 0
-    for trial in range(config.trials):
-        u_hat, flag, trial_n = _run_trial(config, trial)
-        flags.append(flag)
-        if flag == "":
-            u_rows[trial] = u_hat
-            n_eff = trial_n
     included = [i for i, flag in enumerate(flags) if flag == ""]
     excluded = config.trials - len(included)
     if excluded > EXCLUSION_CAP * config.trials:
@@ -167,6 +174,41 @@ def run_experiment(config: ExperimentConfig) -> TrialSummary:
                         comparison=comparison, excluded_count=excluded,
                         included_count=len(included), n_effective=n_eff,
                         theory=theory)
+
+
+def _run_experiments(configs: list[ExperimentConfig]) -> list[TrialSummary]:
+    """The Monte Carlo engine: run the configs' trials trial-major, then
+    summarize each config in order.
+
+    The configs share n, seed, trials and covariate distribution, so trial t
+    draws its covariates once for all of them (``_run_trial``). Every
+    (seed, trial, purpose) stream is independent of call order, so each
+    config sees the data a run of its own would draw, bit for bit."""
+    u_rows = [np.full((config.trials, config.model.d), np.nan)
+              for config in configs]
+    flags = [[] for _ in configs]
+    n_eff = [0] * len(configs)
+    for trial in range(configs[0].trials if configs else 0):
+        for c, (u_hat, flag, trial_n) in enumerate(_run_trial(configs, trial)):
+            flags[c].append(flag)
+            if flag == "":
+                u_rows[c][trial] = u_hat
+                n_eff[c] = trial_n
+    return [_summarize(config, u_rows[c], flags[c], n_eff[c])
+            for c, config in enumerate(configs)]
+
+
+def run_experiment(config: ExperimentConfig) -> TrialSummary:
+    """Run config.trials seeded trials, aggregate them and compare with the
+    estimator's theory prediction (``predict_covariance`` of the model under
+    the config's model link; crowd reads its reliabilities from the model's
+    scaled-logistic true links). This is the engine of ``scaling_study``
+    over one config.
+
+    Separable/degenerate/non-convergent trials are excluded and counted;
+    raises TooFewIncludedTrials when exclusions exceed the 20% cap.
+    """
+    return _run_experiments([config])[0]
 
 
 def empirical_multiplier(summary: TrialSummary, model: ModelSpec) -> float:
@@ -193,22 +235,28 @@ def scaling_study(base: ExperimentConfig, m_values) -> ScalingStudy:
 
     At each m the base links are cycled to length m (a base of k links gives
     links[i % k] to labeler i), so a k-link base keeps its average true link
-    only at multiples of k."""
+    only at multiples of k.
+
+    The study runs trial-major on the engine of ``run_experiment``: trial t
+    draws its covariates once and each m only its own labels on them, so
+    every row equals that of a separate ``run_experiment`` at its m. All
+    trials of every m run before any m is summarized, so an m over the
+    exclusion cap raises TooFewIncludedTrials only after the last trial,
+    for the first such m."""
     m_values = list(m_values)
     if m_values != sorted(m_values):
         raise ValueError("m_values must be ascending")
+    configs = [dataclasses.replace(base, model=ModelSpec(
+        theta_star=base.model.theta_star,
+        links=_replicate_links(base.model.links, m),
+        covariates=base.model.covariates)) for m in m_values]
     rows = []
-    for m in m_values:
-        model = ModelSpec(theta_star=base.model.theta_star,
-                          links=_replicate_links(base.model.links, m),
-                          covariates=base.model.covariates)
-        config = dataclasses.replace(base, model=model)
-        summary = run_experiment(config)
+    for m, config, summary in zip(m_values, configs, _run_experiments(configs)):
         rows.append({
             "m": m,
             "t_m": summary.theory.t_m,
             "theory_multiplier": summary.theory.variance_multiplier,
-            "empirical_multiplier": empirical_multiplier(summary, model),
+            "empirical_multiplier": empirical_multiplier(summary, config.model),
             "included": summary.included_count,
             "excluded": summary.excluded_count,
             "comparison": summary.comparison,

@@ -53,8 +53,9 @@ __all__ = [
 
 ALPHA_FLOOR = 1e-3
 # an increment x_i - x_{i-1} counts as free only when it is inside
-# (0, L * delta) by more than FREE_MARGIN * (L * delta + |x_i|), the
-# round-off of the chain's positions
+# (0, L * delta) by more than FREE_MARGIN * (L * delta + |x_i| + max |target|),
+# the round-off of the chain's positions and of its lazy offsets, which
+# grow with slope * |target|
 FREE_MARGIN = 64 * np.finfo(float).eps
 
 
@@ -104,7 +105,7 @@ def _chain_fit(w: np.ndarray, target: np.ndarray,
     """Exact minimizer of sum_i w_i (x_i - target_i)^2 over chains with
     x_{-1} = 0 and increments x_i - x_{i-1} in [0, step]; returns x and the
     number of increments inside their bounds by more than the round-off
-    margin FREE_MARGIN * (step + |x_i|).
+    margin FREE_MARGIN * (step + |x_i| + max |target|).
 
     Dynamic programming over the chain: f_i(x), the least cost of the first
     i + 1 points with x_i = x, is convex, so its derivative is kept as
@@ -197,7 +198,7 @@ def _chain_fit(w: np.ndarray, target: np.ndarray,
         x.append(hi)
     x = np.array(x[::-1])
     lo, a = x - step, np.array(argmin[:-1])
-    margin = FREE_MARGIN * (step + np.abs(x))
+    margin = FREE_MARGIN * (step + np.abs(x) + np.max(np.abs(target)))
     return x, int(np.count_nonzero((lo + margin < a) & (a < x - margin)))
 
 

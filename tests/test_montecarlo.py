@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,15 +14,16 @@ from labelsim import (
     scaled_logistic_link,
     scaling_study,
 )
+from labelsim.montecarlo import _replicate_links
 
 LR = logistic_link()
 
 
 def _config(n=10_000, trials=200, m=1, t_star=1.0, d=3, seed=0,
-            estimator="multilabel", **kw):
+            estimator="multilabel", links=None, **kw):
     theta = np.zeros(d)
     theta[0] = t_star
-    model = ModelSpec(theta_star=theta, links=(LR,) * m,
+    model = ModelSpec(theta_star=theta, links=links or (LR,) * m,
                       covariates=isotropic_gaussian(d))
     return ExperimentConfig(model=model, estimator=estimator, n=n,
                             trials=trials, seed=seed, **kw)
@@ -140,3 +143,58 @@ def test_scaling_study_slope_well_specified():
             row["theory_multiplier"], rel=0.35)
     with pytest.raises(ValueError):
         scaling_study(base, [4, 1])
+
+
+def _per_m_study(base, m_values):
+    """The m-major scaling study, kept as the reference: one run_experiment
+    per labeler count, each drawing its trials' covariates anew."""
+    rows = []
+    for m in m_values:
+        model = ModelSpec(theta_star=base.model.theta_star,
+                          links=_replicate_links(base.model.links, m),
+                          covariates=base.model.covariates)
+        summary = run_experiment(dataclasses.replace(base, model=model))
+        rows.append({
+            "m": m,
+            "t_m": summary.theory.t_m,
+            "theory_multiplier": summary.theory.variance_multiplier,
+            "empirical_multiplier": empirical_multiplier(summary, model),
+            "included": summary.included_count,
+            "excluded": summary.excluded_count,
+            "comparison": summary.comparison,
+        })
+    logm = np.log([row["m"] for row in rows])
+    logc = np.log([row["empirical_multiplier"] for row in rows])
+    return tuple(rows), float(np.polyfit(logm, logc, 1)[0])
+
+
+@pytest.mark.parametrize("base, m_values", [
+    (_config(n=3000, trials=4, t_star=2.0, seed=4,
+             links=(scaled_logistic_link(0.2), scaled_logistic_link(10.0))),
+     [2, 4, 8]),
+    (_config(n=3000, trials=4, t_star=2.0, seed=4, estimator="majority"),
+     [1, 3, 4, 16]),
+    (_config(n=4000, trials=2, seed=4, estimator="semiparam"), [2, 3]),
+], ids=["multilabel-mixture", "majority", "semiparam"])
+def test_scaling_study_equals_per_m_run_experiment(base, m_values):
+    # trial-major: each trial draws X once for every m; the rows must be
+    # those of separate per-m runs, bit for bit
+    study = scaling_study(base, m_values)
+    rows, slope = _per_m_study(base, m_values)
+    assert study.rows == rows
+    assert study.slope == slope
+
+
+def test_scaling_study_raises_for_the_first_m_over_the_cap():
+    # majority labels sharpen with m, so small-n trials turn separable: at
+    # seed 3, m = 16 excludes 3/10 trials and m = 64 8/10. The study raises
+    # after all trials have run, for the same m and with the same message
+    # as the per-m runs, which stop at m = 16
+    base = _config(n=40, trials=10, t_star=3.0, seed=3, estimator="majority")
+    m_values = [1, 4, 16, 64]
+    with pytest.raises(TooFewIncludedTrials) as per_m:
+        _per_m_study(base, m_values)
+    with pytest.raises(TooFewIncludedTrials) as study:
+        scaling_study(base, m_values)
+    assert str(study.value) == str(per_m.value)
+    assert str(study.value).startswith("3/10 trials excluded")

@@ -221,9 +221,9 @@ def _bvls_increments(w, target, step):
     return res.x
 
 
-def _free_count(inc, x, step):
+def _free_count(inc, x, step, target):
     # increments inside (0, step) by more than the chain fit's margin
-    margin = FREE_MARGIN * (step + np.abs(x))
+    margin = FREE_MARGIN * (step + np.abs(x) + np.max(np.abs(target)))
     return int(np.count_nonzero((inc > margin) & (inc < step - margin)))
 
 
@@ -253,28 +253,51 @@ def _adversarial_chains():
     yield wide, np.full(30, 1e3), step  # all above reach: full slope
 
 
-def _oracle_chains():
-    rng = np.random.default_rng(8)
-    for _ in range(40):
+def _noisy_rises(seed, count, scale=1.0, offset=0.0):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         size = int(rng.integers(5, 257))
         step = float(rng.uniform(1e-3, 0.2))
         w = rng.uniform(0.05, 20.0, size)
         # a noisy rise, so the fit mixes free and bound increments
         target = np.cumsum(rng.normal(0.3 * step, step, size)) + rng.normal(0, 0.1, size)
-        yield w, target, step
+        yield w, scale * target + offset, step
+
+
+def _oracle_chains():
+    yield from _noisy_rises(8, 40)
     yield from _adversarial_chains()
+
+
+def _assert_matches_bvls(w, target, step):
+    """Checks the chain fit against BVLS; returns x and its increments."""
+    with np.errstate(all="raise"):
+        x, free = _chain_fit(w, target, step)
+    inc_bvls = _bvls_increments(w, target, step)
+    x_bvls = np.cumsum(inc_bvls)
+    assert np.max(np.abs(x - x_bvls)) <= 1e-10
+    assert free == _free_count(inc_bvls, x_bvls, step, target)
+    inc = np.diff(x, prepend=0.0)
+    assert np.all(inc >= 0.0)
+    return x, inc
 
 
 def test_chain_fit_matches_bvls_oracle():
     for w, target, step in _oracle_chains():
-        with np.errstate(all="raise"):
-            x, free = _chain_fit(w, target, step)
-        inc_bvls = _bvls_increments(w, target, step)
-        x_bvls = np.cumsum(inc_bvls)
-        assert np.max(np.abs(x - x_bvls)) <= 1e-10
-        inc = np.diff(x, prepend=0.0)
-        assert np.all(inc >= 0.0) and np.all(inc <= step * (1 + 1e-12))
-        assert free == _free_count(inc_bvls, x_bvls, step)
+        _, inc = _assert_matches_bvls(w, target, step)
+        assert np.all(inc <= step * (1 + 1e-12))
+
+
+def test_free_count_covers_lazy_offset_roundoff():
+    # targets 5x + 3 of the noisy rise, up to about 50: the lazy offsets'
+    # round-off grows with them and, in chain 32, puts an at-bound
+    # increment's minimizer 178 eps (step + |x|) inside its window; a
+    # margin of 64 eps (step + |x|) alone counts it as free
+    for w, target, step in _noisy_rises(18, 40, scale=5.0, offset=3.0):
+        x, inc = _assert_matches_bvls(w, target, step)
+        # positions up to about 50 round at 1e-14 each, and a run of
+        # full steps accumulates that along the chain
+        assert np.all(inc <= step + 1e-12 * (step + np.max(x)))
 
 
 def test_chain_fit_with_every_increment_at_a_bound():

@@ -321,9 +321,10 @@ def test_scaled_model_link_root_is_exact():
         assert pred.t_m == pytest.approx(2.0 / a, rel=1e-14)
 
 
-def test_majority_root_guard_scales_with_model_alpha():
-    # a steep model link puts the majority root below t*; the guard checks
-    # alpha t_m >= t*, the margin the model link sees
+def test_majority_root_scales_with_model_alpha():
+    # a steep model link puts the majority root below t*: the fit sees the
+    # margin alpha t_m, and a majority of logistic labelers is at least as
+    # sharp as one, so alpha t_m >= t* (equal at m = 1)
     pred = predict_covariance(PredictionKind.MAJORITY_VOTE_EXACT,
                               _model(2.0, 1, d=5),
                               model_link=scaled_logistic_link(3.0))
