@@ -42,7 +42,6 @@ from .theory import (
     BracketNotFound,
     DivergentIntegral,
     GapFunction,
-    GapMode,
     NotOrthogonal,
     PredictionKind,
     ZExpectationEngine,

@@ -526,8 +526,8 @@ class TheoryPrediction:
     ``t_m_error`` and ``multiplier_error`` are absolute error estimates: the
     change between the same quadrature panels at two orders, plus rounding
     and, for t_m, the root finder's tolerance. ``root_iterations`` counts
-    the bracket expansions and Brent iterations of the t_m solve (0 for
-    kinds whose t_m is t* by definition).
+    the bracket expansions and Brent iterations of the t_m solve, which
+    every kind runs.
     """
 
     kind: str

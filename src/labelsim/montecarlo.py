@@ -24,7 +24,7 @@ from .semiparam import (
     semiparametric_fit,
     split_stages,
 )
-from .theory import PredictionKind, predict_covariance
+from .theory import PredictionKind, _projected_pinv, predict_covariance
 
 __all__ = [
     "TooFewIncludedTrials",
@@ -35,8 +35,6 @@ __all__ = [
     "scaling_study",
     "empirical_multiplier",
 ]
-
-ESTIMATORS = ("multilabel", "majority", "semiparam", "crowd")
 
 _THEORY_KIND = {
     "multilabel": PredictionKind.MULTI_LABEL_EXACT,
@@ -64,8 +62,8 @@ class ExperimentConfig:
     isotonic: IsotonicFitOptions = field(default_factory=IsotonicFitOptions)
 
     def __post_init__(self):
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}")
+        if self.estimator not in _THEORY_KIND:
+            raise ValueError(f"estimator must be one of {tuple(_THEORY_KIND)}")
         if self.trials < 2:
             raise ValueError("need at least 2 trials")
         if self.n < self.model.d + 1:
@@ -214,8 +212,6 @@ def run_experiment(config: ExperimentConfig) -> TrialSummary:
 def empirical_multiplier(summary: TrialSummary, model: ModelSpec) -> float:
     """Scalar multiplier implied by the empirical covariance: the trace ratio
     against the projected-pseudo-inverse base matrix."""
-    from .theory import _projected_pinv
-
     u_star = model.u_star
     p_perp = np.eye(model.d) - np.outer(u_star, u_star)
     base = _projected_pinv(model.covariates, u_star)

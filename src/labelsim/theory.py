@@ -9,8 +9,9 @@ constants a and b.
 Each covariance is the M-estimation sandwich H^-1 B H^-1 (van der Vaart,
 Asymptotic Statistics, ch. 5) of the estimator's fitted loss at its population
 minimizer t_m u*: E[c^2] / (t_m^2 E[w]^2) along u*, for the per-row terms c
-and w of the loss's count kernel (_kernel_moments). Estimators differ only in
-their label groups.
+and w of the loss's count kernel (_kernel_moments). Every estimator takes one
+path (predict_covariance): solve the root t_m of its gap function, then take
+the sandwich there. Estimators differ only in their label groups.
 
 Every integral is one fixed panel rule (ZExpectationEngine, and
 _halfline_integral for plain half-line integrals): Gauss-Legendre panels on
@@ -53,7 +54,6 @@ __all__ = [
     "DivergentIntegral",
     "NotOrthogonal",
     "ZExpectationEngine",
-    "GapMode",
     "GapFunction",
     "PredictionKind",
     "rho_m",
@@ -410,28 +410,37 @@ def _sandwich(engine: ZExpectationEngine, groups, t: float) -> float:
 # gap function and its root t_m
 
 
-class GapMode(Enum):
-    MULTI_LABEL = "multilabel"
-    MAJORITY_VOTE = "majority"
+class PredictionKind(Enum):
+    MULTI_LABEL_EXACT = "multilabel-exact"
+    MAJORITY_VOTE_EXACT = "majority-exact"
+    WELL_SPECIFIED = "well-specified"
+    SEMIPARAMETRIC = "semiparametric"
+    CROWDSOURCING = "crowdsourcing"
 
 
 @dataclass(frozen=True)
 class GapFunction:
-    """h(t) = E[sigma(tZ) Z (1 - phi(t* Z))] - E[sigma(-tZ) Z phi(t* Z)].
+    """h(t) = E[Z E[c | Z]] at u = t Z for the fitted loss of an estimator
+    (_kernel_moments), and h'(t) = E[Z^2 E[w | Z]] > 0; the loss is
+    minimized at t_m u*, h(t_m) = 0.
 
-    phi(s) = P(label +1 | margin s): the average of the true links in
-    multi-label mode, the tie-broken majority probability in majority mode.
-    h(t) = E[Z E[c | Z]] and h'(t) = E[Z^2 E[w | Z]] > 0 (_kernel_moments)
-    for the loss under the model link sigma, minimized at t_m u*, h(t_m) = 0.
+    The estimator ``kind`` sets the label groups on the nodes: the model
+    link with m labels (multi-label) or with one majority vote (majority
+    vote), or each distinct true link as its own fitted link with its M_g
+    labels (well-specified, semiparametric and crowdsourcing, whose fits
+    know the links up to the norm; for one shared link this is multi-label
+    with that link as the model link). phi(s) = P(label +1 | margin s) is
+    the tie-broken majority probability for majority vote and the average
+    of the true links otherwise.
 
     The engine's panels are resolved to the width of phi(t* z), about
-    1/(t* sqrt(m)) for majority vote, and the label group on its nodes is
-    computed once, so each h(t) is one ``link_terms`` call of a symmetric
-    model link and a dot product. The model link needs no width of its own:
-    sigma(t_m z) follows phi(t* z), whatever its scale, as t_m absorbs it.
+    1/(t* sqrt(m)) for majority vote, and the label groups on its nodes are
+    computed once, so each h(t) is one ``link_terms`` call per group and a
+    dot product. A fitted link needs no width of its own: sigma(t_m z)
+    follows phi(t* z), whatever its scale, as t_m absorbs it.
     """
 
-    mode: GapMode
+    kind: PredictionKind
     t_star: float
     m: int
     model_link: LinkSpec
@@ -443,28 +452,36 @@ class GapFunction:
             raise ValueError("t_star must be positive")
         links = tuple(_as_links(self.true_links, self.m))
         object.__setattr__(self, "true_links", links)
-        divisor = math.sqrt(self.m) if self.mode is GapMode.MAJORITY_VOTE else 1.0
+        majority = self.kind is PredictionKind.MAJORITY_VOTE_EXACT
         object.__setattr__(self, "engine", _resolve_for_links(
-            self.engine, group_links(links)[0], self.t_star, divisor))
+            self.engine, group_links(links)[0], self.t_star,
+            math.sqrt(self.m) if majority else 1.0))
 
     def phi(self, s):
         probs, counts = _link_probs(self.true_links, s)
-        if self.mode is GapMode.MULTI_LABEL:
-            out = counts @ probs / self.m
-        else:
+        if self.kind is PredictionKind.MAJORITY_VOTE_EXACT:
             out = _vote_tails(probs, counts)[0]
+        else:
+            out = counts @ probs / self.m
         return float(out[0]) if np.isscalar(s) else out
 
     @cached_property
     def _groups(self):
-        """The model link's label group at t* z on the engine's nodes: m
-        labels, or one majority vote whose two tails are computed directly."""
+        """The label groups at t* z on the engine's nodes: the model link's
+        m labels or one majority vote (whose two tails are computed
+        directly), or M_g labels of each distinct true link."""
         probs, counts = _link_probs(self.true_links, self.t_star * self.engine.nodes)
-        if self.mode is GapMode.MULTI_LABEL:
+        if self.kind is PredictionKind.MULTI_LABEL_EXACT:
             return ((self.model_link, self.m, counts @ probs, counts @ (1.0 - probs),
                      counts @ (probs * (1.0 - probs))),)
-        plus, minus = _vote_tails(probs, counts)
-        return ((self.model_link, 1, plus, minus, plus * minus),)
+        if self.kind is PredictionKind.MAJORITY_VOTE_EXACT:
+            plus, minus = _vote_tails(probs, counts)
+            return ((self.model_link, 1, plus, minus, plus * minus),)
+        groups = []
+        for link, M, p in zip(group_links(self.true_links)[0], counts, probs):
+            plus, q = M * p, 1.0 - p  # M labels, each +1 with probability p
+            groups.append((link, M, plus, M * q, plus * q))
+        return tuple(groups)
 
     @cached_property
     def coarse(self) -> GapFunction:
@@ -513,14 +530,6 @@ def solve_tm(g: GapFunction) -> float:
 # covariance predictions
 
 
-class PredictionKind(Enum):
-    MULTI_LABEL_EXACT = "multilabel-exact"
-    MAJORITY_VOTE_EXACT = "majority-exact"
-    WELL_SPECIFIED = "well-specified"
-    SEMIPARAMETRIC = "semiparametric"
-    CROWDSOURCING = "crowdsourcing"
-
-
 def _psd_pinv(A: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(A)
     top = float(w.max(initial=0.0))
@@ -547,65 +556,41 @@ def predict_covariance(kind: PredictionKind, model: ModelSpec,
                        model_link: LinkSpec | None = None) -> TheoryPrediction:
     """Asymptotic covariance of sqrt(n)(u_hat - u*) for the requested estimator.
 
-    Returns the variance multiplier, the sandwich of the estimator's fitted
-    loss (_sandwich), and the matrix multiplier * (P_perp Sigma P_perp)^+.
-    Multi-label and majority vote fit ``model_link`` (default logistic) at
-    the population norm t_m they first solve for. Well-specified (one link
-    shared by every labeler), semiparametric and crowdsourcing fit the true
-    links at t_m = t*, the minimizer only for symmetric true links,
-    sigma(-u) = 1 - sigma(u); other links raise ``ValueError``, and so do
-    tabulated ones for crowdsourcing, which reads each labeler's reliability
-    from its scaled-logistic link. Every integral uses the default
-    ZExpectationEngine of the model's covariates, resolved to the links;
-    the error estimates compare with its coarse rule.
+    Every kind solves its gap function (GapFunction, solve_tm) for the
+    population norm t_m and returns the variance multiplier, the sandwich of
+    the fitted loss at t_m (_sandwich), and the matrix multiplier *
+    (P_perp Sigma P_perp)^+. Multi-label and majority vote fit
+    ``model_link`` (default logistic). Well-specified (one link shared by
+    every labeler, else ``ValueError``), semiparametric and crowdsourcing
+    fit each labeler's true link; crowd reads each labeler's reliability
+    from its scaled-logistic link, so tabulated true links raise
+    ``ValueError``. Every integral uses the default ZExpectationEngine of
+    the model's covariates, resolved to the links; the error estimates
+    compare with its coarse rule, whose root is one Newton step from t_m.
     """
-    engine = ZExpectationEngine(dist=model.covariates)
+    distinct = group_links(model.links)[0]
+    if kind is PredictionKind.CROWDSOURCING and any(
+            link.family is LinkFamily.TABULATED_MONOTONE for link in distinct):
+        raise ValueError("crowd theory needs (scaled-)logistic true links")
+    if kind is PredictionKind.WELL_SPECIFIED and len(distinct) > 1:
+        raise ValueError("well-specified theory needs one link shared by "
+                         "every labeler")
     if model_link is None:
         model_link = logistic_link()
-    t_star = model.t_star
+    g = GapFunction(kind=kind, t_star=model.t_star, m=model.m, model_link=model_link,
+                    true_links=model.links,
+                    engine=ZExpectationEngine(dist=model.covariates))
+    t_m = solve_tm(g)
+    # the coarse rule's root, by one Newton step of its gap function
+    coarse_t_m = t_m - gap_eval(g.coarse, t_m) / _gap_slope(g.coarse, t_m)
+    mult = _sandwich(g.engine, g._groups, t_m)
+    coarse = _sandwich(g.coarse.engine, g.coarse._groups, coarse_t_m)
     base = _projected_pinv(model.covariates, model.u_star)
-
-    if kind in (PredictionKind.MULTI_LABEL_EXACT, PredictionKind.MAJORITY_VOTE_EXACT):
-        mode = (GapMode.MULTI_LABEL if kind is PredictionKind.MULTI_LABEL_EXACT
-                else GapMode.MAJORITY_VOTE)
-        g = GapFunction(mode=mode, t_star=t_star, m=model.m, model_link=model_link,
-                        true_links=model.links, engine=engine)
-        t_m = solve_tm(g)
-        # the coarse rule's root, by one Newton step of its gap function
-        coarse_t_m = t_m - gap_eval(g.coarse, t_m) / _gap_slope(g.coarse, t_m)
-        mult = _sandwich(g.engine, g._groups, t_m)
-        coarse = _sandwich(g.coarse.engine, g.coarse._groups, coarse_t_m)
-        t_m_error = abs(t_m - coarse_t_m) + ROOT_XTOL + ROUNDOFF * t_m
-        iterations = g.root[1]
-    elif kind in (PredictionKind.WELL_SPECIFIED, PredictionKind.SEMIPARAMETRIC,
-                  PredictionKind.CROWDSOURCING):
-        distinct, index = group_links(model.links)
-        if kind is PredictionKind.CROWDSOURCING and any(
-                link.family is LinkFamily.TABULATED_MONOTONE for link in distinct):
-            raise ValueError("crowd theory needs (scaled-)logistic true links")
-        if not all(link.symmetric for link in distinct):
-            raise ValueError(f"{kind.value} theory needs symmetric true links")
-        if kind is PredictionKind.WELL_SPECIFIED and len(distinct) > 1:
-            raise ValueError("well-specified theory needs one link shared by "
-                             "every labeler")
-        engine = _resolve_for_links(engine, distinct, t_star)
-
-        def multiplier(e: ZExpectationEngine) -> float:
-            groups, margins = [], t_star * e.nodes
-            for link, M in zip(distinct, np.bincount(index)):
-                p = link_eval(link, margins)  # M labels, each +1 with probability p
-                plus, q = M * p, 1.0 - p
-                groups.append((link, M, plus, M * q, plus * q))
-            return _sandwich(e, groups, t_star)
-
-        mult, coarse = multiplier(engine), multiplier(engine.coarse())
-        t_m, t_m_error, iterations = t_star, 0.0, 0
-    else:
-        raise ValueError(f"unknown prediction kind: {kind}")
     return TheoryPrediction(kind=kind.value, t_m=t_m, variance_multiplier=mult,
-                            covariance=mult * base, t_m_error=t_m_error,
+                            covariance=mult * base,
+                            t_m_error=abs(t_m - coarse_t_m) + ROOT_XTOL + ROUNDOFF * t_m,
                             multiplier_error=abs(mult - coarse) + ROUNDOFF * abs(mult),
-                            root_iterations=iterations)
+                            root_iterations=g.root[1])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from labelsim import (
     CovariateKind,
     DivergentIntegral,
     GapFunction,
-    GapMode,
     LossMode,
     LossSpec,
     ModelSpec,
@@ -299,8 +298,7 @@ def test_engine_matches_adaptive_quadrature_oracle(monkeypatch):
         # the reported error estimates cover the deviation from the oracle
         assert abs(pred.t_m - t_ref) <= pred.t_m_error, label
         assert abs(pred.variance_multiplier - mult_ref) <= pred.multiplier_error, label
-        assert (pred.root_iterations > 0) == (kind in (
-            PredictionKind.MAJORITY_VOTE_EXACT, PredictionKind.MULTI_LABEL_EXACT))
+        assert pred.root_iterations > 0, label
 
     # identical labelers: the integrand points do not grow with m
     counts = []
@@ -469,20 +467,20 @@ def test_matching_link_rejects_non_collinear():
 # ------------------------------ gap function -------------------------------
 
 
-def _gap(mode, t_star, m, model_link=LR, links=None, engine=None):
+def _gap(kind, t_star, m, model_link=LR, links=None, engine=None):
     links = links or (LR,) * m
     engine = engine or ZExpectationEngine(dist=GAUSS3)
-    return GapFunction(mode=mode, t_star=t_star, m=m, model_link=model_link,
+    return GapFunction(kind=kind, t_star=t_star, m=m, model_link=model_link,
                        true_links=links, engine=engine)
 
 
 def test_gap_zero_at_t_star_when_well_specified():
-    g = _gap(GapMode.MULTI_LABEL, t_star=1.7, m=3)
+    g = _gap(PredictionKind.MULTI_LABEL_EXACT, t_star=1.7, m=3)
     assert gap_eval(g, 1.7) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_gap_negative_at_zero_and_increasing():
-    g = _gap(GapMode.MAJORITY_VOTE, t_star=1.0, m=3)
+    g = _gap(PredictionKind.MAJORITY_VOTE_EXACT, t_star=1.0, m=3)
     engine = g.engine
     # at t=0 both link terms equal 1/2 and E[Z]=0, so h(0) = -E[Z phi(t* Z)]
     expected = -engine.expect(lambda z: z * g.phi(1.0 * z))
@@ -495,8 +493,8 @@ def test_gap_negative_at_zero_and_increasing():
 
 def test_gap_quadrature_matches_monte_carlo():
     mc = _MonteCarloEngine(dist=GAUSS3, mc_n=10_000_000, mc_seed=3)
-    g_quad = _gap(GapMode.MULTI_LABEL, t_star=1.0, m=1)
-    g_mc = _gap(GapMode.MULTI_LABEL, t_star=1.0, m=1, engine=mc)
+    g_quad = _gap(PredictionKind.MULTI_LABEL_EXACT, t_star=1.0, m=1)
+    g_mc = _gap(PredictionKind.MULTI_LABEL_EXACT, t_star=1.0, m=1, engine=mc)
     t = 1.4
     # the integrand is bounded by |z|, so 3 standard errors of E|Z|^2-ish scale
     se = np.sqrt(1.0 / mc.mc_n)
@@ -505,14 +503,14 @@ def test_gap_quadrature_matches_monte_carlo():
 
 def test_solve_tm_well_specified_identity():
     for t_star in (0.5, 2.0):
-        g = _gap(GapMode.MULTI_LABEL, t_star=t_star, m=2)
+        g = _gap(PredictionKind.MULTI_LABEL_EXACT, t_star=t_star, m=2)
         assert solve_tm(g) == pytest.approx(t_star, abs=1e-8)
-        g1 = _gap(GapMode.MAJORITY_VOTE, t_star=t_star, m=1)
+        g1 = _gap(PredictionKind.MAJORITY_VOTE_EXACT, t_star=t_star, m=1)
         assert solve_tm(g1) == pytest.approx(t_star, abs=1e-8)
 
 
 def test_solve_tm_majority_increases_with_m():
-    roots = [solve_tm(_gap(GapMode.MAJORITY_VOTE, t_star=2.0, m=m))
+    roots = [solve_tm(_gap(PredictionKind.MAJORITY_VOTE_EXACT, t_star=2.0, m=m))
              for m in (1, 3, 9, 27)]
     assert np.all(np.diff(roots) > 0)
     assert roots[0] == pytest.approx(2.0, abs=1e-8)
@@ -520,7 +518,7 @@ def test_solve_tm_majority_increases_with_m():
 
 def test_solve_tm_bracket_failure():
     flat = tabulated_link([-1.0, 0.0, 1.0], [0.5, 0.5, 0.5])
-    g = _gap(GapMode.MULTI_LABEL, t_star=1.0, m=1, model_link=flat)
+    g = _gap(PredictionKind.MULTI_LABEL_EXACT, t_star=1.0, m=1, model_link=flat)
     with pytest.raises(BracketNotFound):
         solve_tm(g)
 
@@ -541,6 +539,39 @@ def test_well_specified_equals_multilabel_exact():
     ml = predict_covariance(PredictionKind.MULTI_LABEL_EXACT, model)
     assert ws.variance_multiplier == pytest.approx(
         ml.variance_multiplier, abs=1e-9)
+    # one shared link fitted as its own link is multi-label with that link
+    # as the model link, symmetric or not (asymmetric, its root is not t*)
+    link = _asymmetric_link()
+    model = _model(1.0, 3, links=(link,) * 3)
+    ws = predict_covariance(PredictionKind.WELL_SPECIFIED, model)
+    ml = predict_covariance(PredictionKind.MULTI_LABEL_EXACT, model, model_link=link)
+    assert ws.t_m == pytest.approx(ml.t_m, rel=1e-12, abs=0.0)
+    assert ws.variance_multiplier == pytest.approx(
+        ml.variance_multiplier, rel=1e-12, abs=0.0)
+    assert ws.t_m > 1.2
+
+
+def test_fixed_link_kinds_solve_to_t_star_on_symmetric_links():
+    # a symmetric true link fitted as its own link has its population
+    # gradient zero at theta*, so the root solve returns t* itself
+    grid = np.linspace(-3.0, 3.0, 13)
+    tables = tuple(tabulated_link(grid, 0.5 + 0.5 * np.tanh(a * grid))
+                   for a in (0.5, 1.0, 2.0))
+    crowd = tuple(scaled_logistic_link(a) for a in (0.5, 1.0, 2.0))
+    shared = [LR, scaled_logistic_link(0.3), scaled_logistic_link(5.0), *tables]
+    cases = [(kind, (link,) * m) for kind in (PredictionKind.WELL_SPECIFIED,
+                                              PredictionKind.SEMIPARAMETRIC)
+             for link in shared for m in (1, 4)]
+    cases += [(PredictionKind.SEMIPARAMETRIC, tables * 2),
+              (PredictionKind.SEMIPARAMETRIC, crowd),
+              (PredictionKind.CROWDSOURCING, crowd),
+              (PredictionKind.CROWDSOURCING, (LR,) * 3)]
+    for kind, links in cases:
+        for t_star in (1.0, 2.0):
+            pred = predict_covariance(kind, _model(t_star, len(links), links=links))
+            label = (kind.value, links[0].family.value, len(links), t_star)
+            assert pred.t_m == pytest.approx(t_star, rel=1e-12, abs=0.0), label
+            assert pred.root_iterations > 0, label
 
 
 def test_majority_m1_equals_well_specified():
@@ -583,13 +614,20 @@ def test_crowd_prediction_matches_crowd_loss_sandwich():
     # independent); its delta-method standard error and the prediction's own
     # error estimate set the bound. Crowd fits the true links; majority vote
     # here fits a model link that is not symmetric, whose Hessian weight
-    # E[phi+ sigma'(-tZ) + phi- sigma'(tZ)] is not E[sigma'(tZ)]
+    # E[phi+ sigma'(-tZ) + phi- sigma'(tZ)] is not E[sigma'(tZ)]. An
+    # asymmetric true link fitted as its own link has the population
+    # gradient E[X sigma(u) (1 - sigma(u) - sigma(-u))] at theta*, not zero,
+    # so its semiparametric fit settles at a root t_m != t*
     crowd = _model(1.0, 3, links=tuple(scaled_logistic_link(a) for a in (0.5, 1.0, 2.0)))
     cases = [(PredictionKind.CROWDSOURCING, crowd,
               LossSpec(mode=LossMode.CROWD_SCALED, links=crowd.links), None),
              (PredictionKind.MAJORITY_VOTE_EXACT, _model(2.0, 3),
               LossSpec(mode=LossMode.MAJORITY_VOTE, model_link=_asymmetric_link()),
               _asymmetric_link())]
+    for links in ((_asymmetric_link(),) * 3, (LR, _asymmetric_link(), LR)):
+        model = _model(1.0, 3, links=links)
+        cases.append((PredictionKind.SEMIPARAMETRIC, model,
+                      LossSpec(mode=LossMode.PER_LABELER, links=links), None))
     n = 400_000
     for kind, model, spec, model_link in cases:
         pred = predict_covariance(kind, model, model_link=model_link)
@@ -605,6 +643,9 @@ def test_crowd_prediction_matches_crowd_loss_sandwich():
         assert 4.5 * se <= 0.02 * mult, kind  # resolves an error of a few percent
         assert abs(empirical - mult) <= 4.5 * se + pred.multiplier_error, (
             kind, empirical, mult, se)
+        # the sample gradient along u* at t_m is zero up to sampling error
+        grad = coef * (ds.X @ model.u_star)
+        assert abs(grad.mean()) <= 4.5 * grad.std(ddof=1) / np.sqrt(n), kind
 
 
 def test_majority_m1_equals_multilabel_for_any_model_link():
@@ -634,19 +675,6 @@ def test_majority_m1_equals_multilabel_on_flat_true_links():
     model = _model(2.0, 1, links=(scaled_logistic_link(0.2),), d=5)
     assert predict_covariance(PredictionKind.MAJORITY_VOTE_EXACT,
                               model).t_m == pytest.approx(0.4, rel=1e-9)
-
-
-def test_fixed_norm_kinds_reject_asymmetric_true_links():
-    # the link loss's population gradient at theta* is
-    # E[X sigma(u) (1 - sigma(u) - sigma(-u))], zero only for a symmetric
-    # link, so t* is not the norm of the fit under an asymmetric true link
-    model = _model(1.0, 3, links=(_asymmetric_link(),) * 3)
-    for kind in (PredictionKind.WELL_SPECIFIED, PredictionKind.SEMIPARAMETRIC):
-        with pytest.raises(ValueError, match="symmetric"):
-            predict_covariance(kind, model)
-    mixed = _model(1.0, 3, links=(LR, _asymmetric_link(), LR))
-    with pytest.raises(ValueError, match="symmetric"):
-        predict_covariance(PredictionKind.SEMIPARAMETRIC, mixed)
 
 
 def test_kernel_moments_match_count_kernel():
