@@ -67,8 +67,8 @@ class LinkSpec:
     symmetric: bool = True
 
     def __post_init__(self):
-        if self.family is LinkFamily.SCALED_LOGISTIC and self.alpha <= 0:
-            raise ValueError("scaled-logistic alpha must be positive")
+        if self.family is LinkFamily.SCALED_LOGISTIC and not 0 < self.alpha < np.inf:
+            raise ValueError("scaled-logistic alpha must be positive and finite")
         if self.family is LinkFamily.TABULATED_MONOTONE:
             # own read-only copies, so the table built below stays in step
             grid = np.array(self.grid, dtype=float)
@@ -76,6 +76,8 @@ class LinkSpec:
             grid.flags.writeable = values.flags.writeable = False
             if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
                 raise ValueError("tabulated link needs matching 1-d grid/values")
+            if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+                raise ValueError("tabulated grid and values must be finite")
             if np.any(np.diff(grid) <= 0):
                 raise ValueError("tabulated grid must be strictly increasing")
             if np.any(np.diff(values) < -SYMMETRY_TOL):

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.special import expit
 
 from .estimators import LossMode, LossSpec, fit
 from .links import (
@@ -92,7 +90,9 @@ class SemiparametricResult:
 
 @dataclass(frozen=True)
 class AlphaEstimate:
-    """Per-labeler reliability estimates with separability/floor flags."""
+    """Per-labeler reliability estimates with separability/floor flags:
+    ``raw`` is each labeler's 1-D ``fit`` (``estimate_alpha``) and
+    ``separable`` that fit's ``FitResult.separable``."""
 
     alpha: np.ndarray
     raw: np.ndarray
@@ -332,46 +332,21 @@ def crowdsourced_fit(dataset: MultiLabelDataset, alpha_estimate) -> FitResult:
     return fit(LossSpec(mode=LossMode.CROWD_SCALED, links=links), dataset)
 
 
-def _alpha_score(a: float, margins: np.ndarray, y: np.ndarray) -> float:
-    # derivative of the per-labeler logistic log-likelihood in the scalar a
-    return float(np.sum(y * margins * expit(-y * a * margins)))
-
-
 def estimate_alpha(dataset: MultiLabelDataset, u_ref) -> AlphaEstimate:
-    """Per-labeler reliability by one-dimensional logistic MLE on the margins
-    <u_ref, X_i>; a labeler whose 1-D problem is separable (or whose estimate
-    falls below the 1e-3 floor) is flagged."""
+    """Per-labeler reliability: the 1-D logistic MLE of each labeler's labels
+    on the margins <u_ref, X_i>, one multi-label ``fit`` with one label and
+    one covariate per labeler. A labeler whose 1-D fit is separable (or
+    whose estimate falls below the 1e-3 floor) is flagged; a separable
+    labeler's raw estimate is where that fit stopped."""
     u_ref = np.asarray(u_ref, dtype=float)
     if abs(np.linalg.norm(u_ref) - 1.0) > 1e-8:
         raise ValueError("u_ref must be a unit vector")
     margins = dataset.X @ u_ref
-    m = dataset.m
-    raw = np.empty(m)
-    separable = np.zeros(m, dtype=bool)
-    bound = 1e4
-    for j in range(m):
-        y = dataset.Y[:, j].astype(float)
-        # the score is strictly decreasing in a, so bracket its unique zero
-        lo, hi = 0.0, 1.0
-        s0 = _alpha_score(0.0, margins, y)
-        if s0 <= 0:
-            lo, hi = -1.0, 0.0
-            while _alpha_score(lo, margins, y) <= 0:
-                lo *= 2.0
-                if lo < -bound:
-                    separable[j] = True
-                    break
-        else:
-            while _alpha_score(hi, margins, y) >= 0:
-                hi *= 2.0
-                if hi > bound:
-                    separable[j] = True
-                    break
-        if separable[j]:
-            raw[j] = np.sign(s0) * bound
-            continue
-        raw[j] = optimize.brentq(
-            lambda a: _alpha_score(a, margins, y), lo, hi, xtol=1e-10)
+    spec = LossSpec(mode=LossMode.MULTI_LABEL)
+    fits = [fit(spec, MultiLabelDataset(X=margins[:, None], Y=dataset.Y[:, [j]]))
+            for j in range(dataset.m)]
+    raw = np.array([res.theta_hat[0] for res in fits])
+    separable = np.array([res.separable for res in fits])
     below = raw < ALPHA_FLOOR
     alpha = np.maximum(raw, ALPHA_FLOOR)
     return AlphaEstimate(alpha=alpha, raw=raw, separable=separable,

@@ -244,13 +244,14 @@ def _link_probs(links, s) -> tuple[np.ndarray, np.ndarray]:
 
 def _binom_tails(p, m: int):
     """(P(vote +1), P(vote -1)) of the majority of m i.i.d. votes that are
-    +1 with probability p, exact ties broken by a fair coin. Each tail is
-    computed directly, so neither loses relative accuracy as 1 - other."""
-    k = m // 2
-    if m % 2 == 1:
-        return stats.binom.sf(k, m, p), stats.binom.cdf(k, m, p)
-    tie = 0.5 * stats.binom.pmf(k, m, p)
-    return stats.binom.sf(k, m, p) + tie, stats.binom.cdf(k - 1, m, p) + tie
+    +1 with probability p, exact ties broken by a fair coin. With
+    h = ceil(m / 2), P(vote +1) = P(Binomial(2h - 1, p) >= h) = I_p(h, h),
+    the regularized incomplete beta function (for even m a tie is a fair
+    coin, so the vote is that of m - 1 votes), and P(vote -1) = I_{1-p}(h, h).
+    Each tail is computed directly, so neither loses relative accuracy as
+    1 - other."""
+    h = (m + 1) // 2
+    return special.betainc(h, h, p), special.betainc(h, h, 1.0 - p)
 
 
 def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -303,7 +304,10 @@ def rho_m(t, m: int, true_links):
 
 
 def binom_tail_transform(p, m: int):
-    """T_m(p): majority-vote accuracy of m i.i.d. votes of accuracy p."""
+    """T_m(p): majority-vote accuracy of m i.i.d. votes of accuracy p,
+    I_p(h, h) with h = ceil(m / 2) (``_binom_tails``)."""
+    if m < 1:
+        raise ValueError("need m >= 1")
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < 0) or np.any(p_arr > 1):
         raise ValueError("p must lie in [0, 1]")
@@ -312,12 +316,12 @@ def binom_tail_transform(p, m: int):
 
 
 def inverse_binom_tail_transform(q, m: int):
-    """T_m^{-1}(q) for all q at once, exact up to rounding.
-
-    With h = ceil(m / 2), T_m(p) = P(Binomial(2h - 1, p) >= h) = I_p(h, h),
-    the regularized incomplete beta function (for even m a tie is a fair
-    coin, so T_m = T_{m-1}); its inverse in p is scipy's betaincinv.
+    """T_m^{-1}(q) for all q at once, exact up to rounding: T_m(p) = I_p(h, h)
+    with h = ceil(m / 2) (``_binom_tails``), whose inverse in p is scipy's
+    betaincinv.
     """
+    if m < 1:
+        raise ValueError("need m >= 1")
     q_arr = np.asarray(q, dtype=float)
     if np.any(q_arr < 0) or np.any(q_arr > 1):
         raise ValueError("q must lie in [0, 1]")

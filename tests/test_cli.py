@@ -230,6 +230,18 @@ def test_theory_impossibility_discrepancy_tiny(tmp_path):
     assert float(gap) <= 1e-10
 
 
+@pytest.mark.parametrize("counts", [("--m", "0"), ("--mbar", "0"), ("--m", "-2")])
+def test_theory_impossibility_rejects_fewer_than_one_vote(counts, capsys):
+    assert main(["theory", "--impossibility", *counts]) == 2
+    assert "m >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_theory_rejects_non_finite_link_alpha(alpha, capsys):
+    assert main(["theory", "--kind", "multilabel", "--link-alpha", alpha]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
 def test_semiparam_command_writes_links(tmp_path):
     out = str(tmp_path / "sp.csv")
     config = _write(tmp_path / "sp.txt",

@@ -86,6 +86,20 @@ def test_tabulated_link_validation():
         tabulated_link(grid, [0.0, 0.1, 0.5, 0.9, 1.0], lipschitz=0.2)
 
 
+def test_link_parameters_must_be_finite():
+    for alpha in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            scaled_logistic_link(alpha)
+    grid = np.linspace(-1, 1, 5)
+    with pytest.raises(ValueError, match="finite"):
+        tabulated_link(grid, [0.0, 0.25, np.nan, 0.75, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        tabulated_link([-1.0, -0.5, np.nan, 0.5, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        LinkSpec(family=LinkFamily.TABULATED_MONOTONE, grid=grid,
+                 values=[0.0, 0.25, np.nan, 0.75, 1.0], symmetric=False)
+
+
 def test_tabulated_symmetry_detection():
     grid = np.linspace(-2, 2, 5)
     sym = tabulated_link(grid, [0.1, 0.3, 0.5, 0.7, 0.9])

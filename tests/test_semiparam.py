@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import optimize, stats
+from scipy.special import expit
 
 from labelsim import (
     ALPHA_FLOOR,
@@ -9,8 +10,10 @@ from labelsim import (
     LossSpec,
     ModelSpec,
     MultiLabelDataset,
+    SolverOptions,
     crowdsourced_fit,
     estimate_alpha,
+    fit,
     fit_links_with_diagnostics,
     isotropic_gaussian,
     link_eval,
@@ -412,6 +415,24 @@ def test_estimate_alpha_flags():
     assert est.alpha[1] == ALPHA_FLOOR
     with pytest.raises(ValueError):
         estimate_alpha(ds, np.array([2.0]))  # not a unit vector
+
+
+@pytest.mark.parametrize("n", [500, 4000])
+def test_estimate_alpha_meets_first_order_condition(n):
+    # at raw, the mean score of the 1-D logistic likelihood in the scalar a,
+    # (1/n) sum_i y_i s_i expit(-y_i a s_i), meets fit's stopping rule, and
+    # raw is fit's estimate on the 1-D data set (n = 4000 takes the warm start)
+    model, ds = _logistic_dataset(n, 3, seed=13, alphas=(0.5, 1.0, 2.0))
+    est = estimate_alpha(ds, model.u_star)
+    assert not (est.separable.any() or est.below_floor.any())
+    s = ds.X @ model.u_star
+    for j in range(ds.m):
+        y = ds.Y[:, j].astype(float)
+        score = np.mean(y * s * expit(-y * est.raw[j] * s))
+        assert abs(score) <= SolverOptions().grad_tol
+        one = fit(LossSpec(mode=LossMode.MULTI_LABEL),
+                  MultiLabelDataset(X=s[:, None], Y=ds.Y[:, [j]]))
+        assert est.raw[j] == one.theta_hat[0]
 
 
 def test_crowdsourced_fit_matches_truth_direction():

@@ -426,6 +426,29 @@ def test_binom_tail_transform_monotone_and_inverse():
         inverse_binom_tail_transform(-0.1, 3)
 
 
+@pytest.mark.parametrize("m", [0, -2])
+def test_binom_tail_transforms_reject_fewer_than_one_vote(m):
+    with pytest.raises(ValueError, match="m >= 1"):
+        binom_tail_transform(0.7, m)
+    with pytest.raises(ValueError, match="m >= 1"):
+        inverse_binom_tail_transform(0.7, m)
+
+
+def test_binom_tails_match_binomial_distribution():
+    # the incomplete-beta tails against direct binomial sums, a tie at even
+    # m split by a fair coin
+    p = np.linspace(0, 1, 401)
+    for m in (1, 2, 3, 4, 15, 16, 63, 64):
+        k = m // 2
+        plus, minus = stats.binom.sf(k, m, p), stats.binom.cdf(k, m, p)
+        if m % 2 == 0:
+            tie = 0.5 * stats.binom.pmf(k, m, p)
+            plus, minus = plus + tie, stats.binom.cdf(k - 1, m, p) + tie
+        got = theory._binom_tails(p, m)
+        assert np.allclose(got[0], plus, rtol=1e-13, atol=0), m
+        assert np.allclose(got[1], minus, rtol=1e-13, atol=0), m
+
+
 # ------------------------- impossibility construction ----------------------
 
 
