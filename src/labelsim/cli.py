@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .datagen import sample_dataset
-from .estimators import SolverOptions
+from .estimators import DIVERGENCE_THRESHOLD, GRAD_TOL, SolverOptions
 from .links import (
     LinkSpec,
     ModelSpec,
@@ -152,14 +152,12 @@ def _fmt(x) -> str:
 
 
 def _header_lines(cfg: dict) -> list[str]:
-    solver = SolverOptions()
     lines = [f"# schema_version={SCHEMA_VERSION}"]
     lines += [f"# {key}={cfg[key]}" for key in sorted(cfg)]
     lines += [
-        f"# solver.grad_tol={_fmt(solver.grad_tol)}",
-        f"# solver.max_iters={solver.max_iters}",
-        f"# solver.divergence_threshold={_fmt(solver.divergence_threshold)}",
-        f"# solver.ridge={_fmt(solver.ridge)}",
+        f"# solver.grad_tol={_fmt(GRAD_TOL)}",
+        f"# solver.max_iters={SolverOptions().max_iters}",
+        f"# solver.divergence_threshold={_fmt(DIVERGENCE_THRESHOLD)}",
     ]
     return lines
 

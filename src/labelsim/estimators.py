@@ -25,12 +25,12 @@ per side through ``links.link_terms`` (S, sigma and sigma' together).
 
 ``fit`` reduces the labels to a kernel once, then runs one damped Newton
 loop (``_newton``; each Hessian is one matrix product with a contiguous
-copy of X^T) until the gradient norm reaches ``grad_tol``, theta diverges,
+copy of X^T) until the gradient norm reaches ``GRAD_TOL``, theta diverges,
 no step decreases the loss, ``max_iters`` runs out, or the Newton decrement
 lambda^2 = g^T H^{-1} g falls to the loss's round-off (Boyd & Vandenberghe,
 Convex Optimization, 9.5.1). In the last case it takes the full Newton
 step, whose decrease a line search cannot resolve. A fit converged when it
-stopped on ``grad_tol`` or on the decrement.
+stopped on ``GRAD_TOL`` or on the decrement.
 
 Without a start ``theta0``, a fit on at least ``WARM_MIN_ROWS`` rows first
 runs the same loop on every ``WARM_STRIDE``-th row, the kernel's counts
@@ -45,7 +45,7 @@ result, so every fit meets the same stopping rule on all n rows.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
@@ -84,6 +84,10 @@ DECREMENT_ROUNDOFF = 64 * np.finfo(float).eps
 # The stops of a converged Newton loop; the others are "max_iters",
 # "no_descent" and "diverged".
 CONVERGED_STOPS = ("grad_tol", "decrement")
+
+# ||grad|| of a converged Newton loop, and ||theta|| of a diverged one
+GRAD_TOL = 1e-10
+DIVERGENCE_THRESHOLD = 1e4
 
 # A fit from theta = 0 on at least WARM_MIN_ROWS rows first solves on every
 # WARM_STRIDE-th row to WARM_GRAD_TOL; a stride, not a prefix, samples
@@ -131,10 +135,10 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The iteration cap, the one setting callers vary: tests cap it to reach
+    ``NonConvergence``, and the benchmark tracer records it per fit."""
+
     max_iters: int = 200
-    grad_tol: float = 1e-10
-    divergence_threshold: float = 1e4
-    ridge: float = 0.0
 
 
 def link_loss(link: LinkSpec, theta, x, y) -> float:
@@ -273,53 +277,47 @@ def _hessian(X: np.ndarray, XT: np.ndarray, w: np.ndarray) -> np.ndarray:
     return X.T @ (XT * w).T
 
 
-def _separable(kernel: _CountKernel, theta, u, opts: SolverOptions) -> bool:
+def _separable(kernel: _CountKernel, theta, u) -> bool:
     """theta diverged, or is large and separates every training label: the
     loss has no finite minimizer."""
     norm = np.linalg.norm(theta)
-    return bool(norm > opts.divergence_threshold
+    return bool(norm > DIVERGENCE_THRESHOLD
                 or (norm >= 10.0 and kernel.separated(u)))
 
 
 def _newton(kernel: _CountKernel, X: np.ndarray, theta: np.ndarray,
-            opts: SolverOptions):
+            grad_tol: float, max_iters: int):
     """Damped Newton with backtracking on ``kernel`` over the rows of X,
     from theta. Returns (theta, u = X theta, ||grad||, iterations, stop),
     stop the reason it stopped (``FitResult.stop_reason``)."""
-    d, ridge = X.shape[1], opts.ridge
     XT = np.ascontiguousarray(X.T)
-
-    def evaluate(th, u):
-        # loss, gradient and Hessian weights at theta = th, u = X th
-        loss, coef, w = kernel(u)
-        return loss + 0.5 * ridge * float(th @ th), X.T @ coef + ridge * th, w
-
     u = X @ theta
-    loss, g, w = evaluate(theta, u)
+    loss, coef, w = kernel(u)
+    g = X.T @ coef
+    del coef
+    gnorm = float(np.linalg.norm(g))
     iterations = 0
     while True:
-        if np.linalg.norm(g) <= opts.grad_tol:
+        if gnorm <= grad_tol:
             stop = "grad_tol"
             break
-        if np.linalg.norm(theta) > opts.divergence_threshold:
+        if np.linalg.norm(theta) > DIVERGENCE_THRESHOLD:
             stop = "diverged"
             break
-        if iterations >= opts.max_iters:
+        if iterations >= max_iters:
             stop = "max_iters"
             break
-        H = _hessian(X, XT, w) + ridge * np.eye(d)
+        H = _hessian(X, XT, w)
         # freed before the candidates allocate theirs (peak memory); the
         # line search binds each candidate's weights to w
         del w
-        step = None
+        H.flat[::H.shape[0] + 1] += 1e-14  # a zero Hessian still solves
         try:
-            step = np.linalg.solve(H + 1e-14 * np.eye(d), -g)
-            if float(step @ g) >= 0:
-                step = None
+            step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
-            pass
-        if step is None:
-            step = -g / max(float(np.linalg.norm(g)), 1e-300)
+            step = g  # an ascent direction, replaced below
+        if float(step @ g) >= 0:  # no descent direction: a gradient step
+            step = -g / gnorm
         slope = float(g @ step)  # -lambda^2 for a Newton step
         # below the loss's round-off, take the full step and stop
         last = -slope <= DECREMENT_ROUNDOFF * max(1.0, abs(loss))
@@ -329,7 +327,9 @@ def _newton(kernel: _CountKernel, X: np.ndarray, theta: np.ndarray,
         for _ in range(60):
             cand = theta + eta * step
             cand_u = X @ cand
-            cand_loss, cand_g, w = evaluate(cand, cand_u)
+            cand_loss, coef, w = kernel(cand_u)
+            cand_g = X.T @ coef
+            del coef
             if last or cand_loss <= loss + 1e-4 * eta * slope:
                 break
             eta *= 0.5
@@ -337,26 +337,27 @@ def _newton(kernel: _CountKernel, X: np.ndarray, theta: np.ndarray,
             stop = "no_descent"
             break
         theta, u, loss, g = cand, cand_u, cand_loss, cand_g
+        gnorm = float(np.linalg.norm(g))
         iterations += 1
         if last:
             stop = "decrement"
             break
-    return theta, u, float(np.linalg.norm(g)), iterations, stop
+    return theta, u, gnorm, iterations, stop
 
 
 def fit(spec: LossSpec, dataset: MultiLabelDataset,
         opts: SolverOptions = SolverOptions(), theta0=None) -> FitResult:
     """Minimize the empirical loss by damped Newton with backtracking.
 
-    Falls back to a gradient step whenever the (ridge-regularized) Hessian
-    solve fails or does not give a descent direction. Without ``theta0``, a
-    fit on at least ``WARM_MIN_ROWS`` rows starts from the optimum of every
+    Falls back to a gradient step whenever the Hessian solve fails or does
+    not give a descent direction. Without ``theta0``, a fit on at least
+    ``WARM_MIN_ROWS`` rows starts from the optimum of every
     ``WARM_STRIDE``-th row (solved to ``WARM_GRAD_TOL``), or from zeros when
     that subsample fit ends separable or without meeting its tolerance. The
     full-data loop alone decides the result: a fit whose theta diverged or
     separates every training label has no finite minimizer and reports
     separable=True; any other fit is converged when it stopped on
-    ``grad_tol`` or on the decrement rule, and raises NonConvergence when
+    ``GRAD_TOL`` or on the decrement rule, and raises NonConvergence when
     it did not.
     """
     if dataset.n == 0:
@@ -368,12 +369,13 @@ def fit(spec: LossSpec, dataset: MultiLabelDataset,
     if theta0 is None and dataset.n >= WARM_MIN_ROWS:
         rows = slice(None, None, WARM_STRIDE)
         sub = kernel.rows(rows)
-        warm_opts = replace(opts, grad_tol=max(opts.grad_tol, WARM_GRAD_TOL))
-        start, sub_u, _, warm_iterations, stop = _newton(sub, X[rows], theta, warm_opts)
-        if stop in CONVERGED_STOPS and not _separable(sub, start, sub_u, opts):
+        start, sub_u, _, warm_iterations, stop = _newton(
+            sub, X[rows], theta, WARM_GRAD_TOL, opts.max_iters)
+        if stop in CONVERGED_STOPS and not _separable(sub, start, sub_u):
             theta = start
-    theta, u, gnorm, iterations, stop = _newton(kernel, X, theta, opts)
-    separable = _separable(kernel, theta, u, opts)
+    theta, u, gnorm, iterations, stop = _newton(kernel, X, theta, GRAD_TOL,
+                                                opts.max_iters)
+    separable = _separable(kernel, theta, u)
     converged = not separable and stop in CONVERGED_STOPS
     if not (separable or converged):
         raise NonConvergence(f"no convergence in {iterations} iterations "

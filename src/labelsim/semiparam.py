@@ -59,13 +59,17 @@ FREE_MARGIN = 64 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class IsotonicFitOptions:
+    """``lipschitz`` caps each fitted link's slope, so it must bound every
+    true link's: on the slope-0.2/10 mixture at m = 16 the default 1 gives
+    empirical/theory variance 1.48, against 1.14 with lipschitz = 3."""
+
     lipschitz: float = 1.0
     enforce_symmetry: bool = True
     grid_size: int = 512
 
     def __post_init__(self):
-        if self.lipschitz <= 0:
-            raise ValueError("Lipschitz constant must be positive")
+        if not 0 < self.lipschitz < np.inf:
+            raise ValueError("lipschitz must be positive and finite")
         if self.grid_size < 16:
             raise ValueError("grid_size must be at least 16")
 

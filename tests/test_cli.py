@@ -11,6 +11,7 @@ from labelsim import (
     scaled_logistic_link,
 )
 from labelsim.cli import ConfigError, cmd_ingest, main
+from labelsim.estimators import DIVERGENCE_THRESHOLD, GRAD_TOL, SolverOptions
 
 
 def _write(path, text):
@@ -56,6 +57,14 @@ def test_beta_must_be_positive(tmp_path, capsys):
     assert "beta > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lipschitz", ["nan", "inf"])
+def test_lipschitz_must_be_finite(tmp_path, capsys, lipschitz):
+    out = str(tmp_path / "r.csv")
+    config = _minimal_config(tmp_path, out, extra=f"lipschitz={lipschitz}")
+    assert main(["simulate", config]) == 2
+    assert "lipschitz" in capsys.readouterr().err
+
+
 def test_simulate_writes_csv_with_schema_header(tmp_path):
     out = str(tmp_path / "r.csv")
     config = _minimal_config(tmp_path, out)
@@ -64,7 +73,10 @@ def test_simulate_writes_csv_with_schema_header(tmp_path):
     assert lines[0] == "# schema_version=1"
     header = [line for line in lines if line.startswith("# n=")]
     assert header == ["# n=500"]
-    assert any(line.startswith("# solver.grad_tol=") for line in lines)
+    solver = [line for line in lines if line.startswith("# solver.")]
+    assert solver == [f"# solver.grad_tol={GRAD_TOL!r}",
+                      f"# solver.max_iters={SolverOptions().max_iters}",
+                      f"# solver.divergence_threshold={DIVERGENCE_THRESHOLD!r}"]
     data = [line for line in lines if not line.startswith("#")]
     assert data[0] == "trial,flag,u0,u1"
     assert len(data) == 6

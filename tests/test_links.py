@@ -297,6 +297,13 @@ def test_covariate_distributions():
         beta_regular(3, -1.0, u)
     with pytest.raises(ValueError):
         beta_regular(3, 1.0, np.zeros(3))
+    # the beta-regular |Z| density is stats.gamma.pdf, bit for bit, from 0
+    # and the subnormals to where it underflows
+    z = np.concatenate([np.linspace(0.0, 60.0, 6001),
+                        [1e-320, 1e-300, 1e-8, 700.0, 745.0, 800.0]])
+    for beta in (0.25, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0):
+        density = beta_regular(3, beta, u).z_abs_density(z)
+        assert np.array_equal(density, stats.gamma.pdf(z, a=beta)), beta
 
 
 def test_model_spec():

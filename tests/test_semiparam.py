@@ -10,7 +10,6 @@ from labelsim import (
     LossSpec,
     ModelSpec,
     MultiLabelDataset,
-    SolverOptions,
     crowdsourced_fit,
     estimate_alpha,
     fit,
@@ -23,6 +22,7 @@ from labelsim import (
     scaled_logistic_link,
     semiparametric_fit,
 )
+from labelsim.estimators import GRAD_TOL
 from labelsim.semiparam import FREE_MARGIN, _chain_fit
 
 LR = logistic_link()
@@ -382,8 +382,9 @@ def test_semiparametric_fit_split_validation():
 
 
 def test_isotonic_options_validation():
-    with pytest.raises(ValueError):
-        IsotonicFitOptions(lipschitz=0.0)
+    for lipschitz in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lipschitz"):
+            IsotonicFitOptions(lipschitz=lipschitz)
     with pytest.raises(ValueError):
         IsotonicFitOptions(grid_size=8)
 
@@ -429,7 +430,7 @@ def test_estimate_alpha_meets_first_order_condition(n):
     for j in range(ds.m):
         y = ds.Y[:, j].astype(float)
         score = np.mean(y * s * expit(-y * est.raw[j] * s))
-        assert abs(score) <= SolverOptions().grad_tol
+        assert abs(score) <= GRAD_TOL
         one = fit(LossSpec(mode=LossMode.MULTI_LABEL),
                   MultiLabelDataset(X=s[:, None], Y=ds.Y[:, [j]]))
         assert est.raw[j] == one.theta_hat[0]

@@ -162,16 +162,28 @@ def _oracle_prediction(kind, model, t_hint=None, sigma=LR):
     def expect(f):
         return _quad_expect(dist, f, cuts)
 
+    # each distinct link once, with the number of labelers that share it
+    distinct = {}
+    for link in links:
+        table = None if link.grid is None else (link.grid.tobytes(),
+                                                 link.values.tobytes())
+        key = (link.family, link.alpha, table)
+        first, count = distinct.get(key, (link, 0))
+        distinct[key] = first, count + 1
+    groups = list(distinct.values())
+
     def probs(z):
-        return [float(link_eval(link, t_star * z)) for link in links]
+        return [p for link, count in groups
+                for p in [float(link_eval(link, t_star * z))] * count]
 
     if kind in (PredictionKind.SEMIPARAMETRIC, PredictionKind.CROWDSOURCING):
-        nums = [expect(lambda z, link=link: float(
+        nums = [count * expect(lambda z, link=link: float(
             link_eval(link, t_star * z) * (1.0 - link_eval(link, t_star * z))))
-            for link in links]
-        dens = [expect(lambda z, link=link: float(
-            t_star * link_derivative(link, t_star * z))) for link in links]
-        return t_star, np.mean(nums) / np.mean(dens) ** 2 / m
+            for link, count in groups]
+        dens = [count * expect(lambda z, link=link: float(
+            t_star * link_derivative(link, t_star * z))) for link, count in groups]
+        # mean(nums) / mean(dens)^2 / m over the m labelers
+        return t_star, sum(nums) / sum(dens) ** 2
 
     if kind is PredictionKind.MULTI_LABEL_EXACT:
         def phi(z):
@@ -200,9 +212,9 @@ def _oracle_prediction(kind, model, t_hint=None, sigma=LR):
         return t, num / (t ** 2 * den ** 2)
     e_le2 = expect(lambda z: (s(t * z) * (1.0 - phi(z)) - s(-t * z) * phi(z)) ** 2)
     e_he = expect(lambda z: ds(-t * z) * phi(z) + ds(t * z) * (1.0 - phi(z)))
-    v_sum = sum(expect(lambda z, link=link: float(
+    v_sum = sum(count * expect(lambda z, link=link: float(
         link_eval(link, t_star * z) * (1.0 - link_eval(link, t_star * z)))
-        * (s(t * z) + s(-t * z)) ** 2) for link in links)
+        * (s(t * z) + s(-t * z)) ** 2) for link, count in groups)
     return t, (e_le2 + v_sum / m ** 2) / (t ** 2 * e_he ** 2)
 
 
