@@ -31,6 +31,7 @@ from .links import (
     scaled_logistic_link,
 )
 from .montecarlo import (
+    _THEORY_KIND,
     ExperimentConfig,
     TooFewIncludedTrials,
     empirical_multiplier,
@@ -225,13 +226,7 @@ def cmd_simulate(config_path: str, output: str | None = None) -> int:
     return 0
 
 
-_KIND_NAMES = {
-    "well-specified": PredictionKind.WELL_SPECIFIED,
-    "multilabel": PredictionKind.MULTI_LABEL_EXACT,
-    "majority": PredictionKind.MAJORITY_VOTE_EXACT,
-    "semiparam": PredictionKind.SEMIPARAMETRIC,
-    "crowd": PredictionKind.CROWDSOURCING,
-}
+_KIND_NAMES = {"well-specified": PredictionKind.WELL_SPECIFIED, **_THEORY_KIND}
 
 
 def cmd_theory(args) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit, gamma, gammaln, xlogy
+from scipy.special import gamma, gammaln, xlogy
 
 __all__ = [
     "LinkFamily",
@@ -114,13 +114,15 @@ class _UniformTable:
         self.last = grid.size - 1
         # a NaN knot past the end: t >= NaN is False, so no bin passes K - 1
         self.knots_ext = np.append(grid, np.nan)
-        self.slopes = np.diff(values) / np.diff(grid)
         # slope 0 in bin K - 1 (past the grid) and, by wrap-around, bin -1
-        self.slopes_ext = np.append(self.slopes, 0.0)
+        self.slopes = np.append(np.diff(values) / np.diff(grid), 0.0)
         # cumulative trapezoid integral of sigma from grid[0] to each knot
         seg = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
         self.cum = np.concatenate([[0.0], np.cumsum(seg)])
-        self.s0 = self._integral_from_left(np.zeros(1))[0]
+        # the integral from grid[0] to 0, by the lookup itself while its
+        # offset is still 0
+        self.s0 = 0.0
+        self.s0 = self.terms(np.zeros(1))[0][0]
 
     def bins(self, t: np.ndarray) -> np.ndarray:
         """searchsorted(grid, t, "right") - 1, in [-1, K - 1], NaN at K - 1."""
@@ -144,7 +146,7 @@ class _UniformTable:
         # slopes[j] * (t - grid[j]) + values[j], endpoint values outside the
         # grid, values[j] at a knot
         out = inside - self.grid[j]
-        out *= self.slopes_ext[j]
+        out *= self.slopes[j]
         out += self.values[j]
         return out
 
@@ -169,25 +171,15 @@ class _UniformTable:
         out[above] = self.cum[-1] + self.values[-1] * (x[above] - self.hi)
         return out
 
-    def _integral_from_left(self, x: np.ndarray) -> np.ndarray:
-        inside = np.clip(x, self.lo, self.hi)
-        return self._integral(x, inside,
-                              np.minimum(self.bins(inside), self.last - 1))
-
-    def eval(self, t: np.ndarray) -> np.ndarray:
-        inside = np.clip(t, self.lo, self.hi)
-        return self._value(inside, self.bins(inside))
-
-    def derivative(self, t: np.ndarray) -> np.ndarray:
-        return self.slopes_ext[self.bins(t)]
-
     def terms(self, t: np.ndarray):
-        """antiderivative, eval and derivative of t from one bin lookup;
-        eval and derivative are bit-identical to their own methods."""
+        """(S(t), sigma(t), sigma'(t)) from one bin lookup: S is the
+        integral of sigma from 0, sigma is np.interp(t, grid, values) and
+        sigma' the slope of t's bin, right slope at a knot and 0 outside
+        the grid."""
         j = self.bins(t)
-        deriv = self.slopes_ext[j]  # bin -1 (below the grid) has slope 0
+        deriv = self.slopes[j]  # bin -1 (below the grid) has slope 0
         inside = np.clip(t, self.lo, self.hi)
-        # the bin of t clipped to the grid, as eval and the integral find it
+        # the bin of t clipped to the grid
         np.maximum(j, 0, out=j)
         value = self._value(inside, j)
         np.minimum(j, self.last - 1, out=j)
@@ -265,40 +257,32 @@ def group_links(links) -> tuple[list[LinkSpec], np.ndarray]:
 
 
 def link_eval(link: LinkSpec, t):
-    """Evaluate sigma(t); vectorized, returns values in [0, 1]."""
-    scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if link.family is LinkFamily.TABULATED_MONOTONE:
-        out = link._table.eval(t)
-    else:
-        out = expit(link.alpha * t)
-    return float(out[0]) if scalar else out
+    """sigma(t), the second output of ``link_terms``; vectorized, returns
+    values in [0, 1]."""
+    return _term(link, t, 1)
 
 
 def link_derivative(link: LinkSpec, t):
-    """Evaluate sigma'(t) >= 0; tabulated links use the right-slope convention
-    at knots (measure-zero choice)."""
-    scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if link.family is LinkFamily.TABULATED_MONOTONE:
-        out = link._table.derivative(t)
-    else:
-        s = expit(link.alpha * t)
-        out = link.alpha * s * (1.0 - s)
-    return float(out[0]) if scalar else out
+    """sigma'(t) >= 0, the third output of ``link_terms``; tabulated links
+    use the right-slope convention at knots (measure-zero choice)."""
+    return _term(link, t, 2)
 
 
 def link_antiderivative(link: LinkSpec, t):
     """S(t) = integral of sigma(v) dv from 0 to t, exact for every family:
-    the first of ``link_terms``.
+    the first output of ``link_terms``.
 
     Scaled logistic: S(t) = (log(1 + e^(alpha t)) - log 2) / alpha.
     Tabulated: piecewise-quadratic inside the grid, linear outside (clamped
     endpoint values).
     """
+    return _term(link, t, 0)
+
+
+def _term(link: LinkSpec, t, k: int):
+    # output k of link_terms; a scalar t gives a float
     scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = link_terms(link, t)[0]
+    out = link_terms(link, np.atleast_1d(np.asarray(t, dtype=float)))[k]
     return float(out[0]) if scalar else out
 
 
@@ -311,8 +295,9 @@ def link_terms(link: LinkSpec, t: np.ndarray):
     its relative accuracy where s (1 - s) cancels. The family is symmetric,
     S(-t) = S(t) - t, sigma(-t) = 1 - sigma(t) and sigma'(-t) = sigma'(t), so
     these three also give the terms at -t. Tabulated: one bin lookup serves
-    all three, each bit-identical to its own function; the identities hold
-    to round-off when the link is flagged ``symmetric`` (``mirror_symmetric``)
+    all three (``_UniformTable.terms``): S piecewise-quadratic, sigma
+    piecewise-linear and sigma' piecewise-constant; the identities hold to
+    round-off when the link is flagged ``symmetric`` (``mirror_symmetric``)
     and not at all otherwise, where -t takes its own call. The caller owns
     the returned arrays.
     """

@@ -86,7 +86,6 @@ class LinkFitDiagnostics:
 class SemiparametricResult:
     fit: FitResult
     links: tuple[LinkSpec, ...]
-    u_init: np.ndarray
     stage1_index: np.ndarray
     stage2_index: np.ndarray
     diagnostics: LinkFitDiagnostics
@@ -321,7 +320,7 @@ def semiparametric_fit(dataset: MultiLabelDataset, split_fraction: float = 0.1,
 
     refit_spec = LossSpec(mode=LossMode.PER_LABELER, links=tuple(links))
     result = fit(refit_spec, ds2, theta0=u_init)
-    return SemiparametricResult(fit=result, links=tuple(links), u_init=u_init,
+    return SemiparametricResult(fit=result, links=tuple(links),
                                 stage1_index=np.arange(ds1.n),
                                 stage2_index=np.arange(ds1.n, dataset.n),
                                 diagnostics=diag)

@@ -433,9 +433,10 @@ class GapFunction:
     vote), or each distinct true link as its own fitted link with its M_g
     labels (well-specified, semiparametric and crowdsourcing, whose fits
     know the links up to the norm; for one shared link this is multi-label
-    with that link as the model link). phi(s) = P(label +1 | margin s) is
-    the tie-broken majority probability for majority vote and the average
-    of the true links otherwise.
+    with that link as the model link). The label probability
+    phi(s) = P(label +1 | margin s), which those groups carry at s = t* z,
+    is the tie-broken majority probability for majority vote and the
+    average of the true links otherwise.
 
     The engine's panels are resolved to the width of phi(t* z), about
     1/(t* sqrt(m)) for majority vote, and the label groups on its nodes are
@@ -460,14 +461,6 @@ class GapFunction:
         object.__setattr__(self, "engine", _resolve_for_links(
             self.engine, group_links(links)[0], self.t_star,
             math.sqrt(self.m) if majority else 1.0))
-
-    def phi(self, s):
-        probs, counts = _link_probs(self.true_links, s)
-        if self.kind is PredictionKind.MAJORITY_VOTE_EXACT:
-            out = _vote_tails(probs, counts)[0]
-        else:
-            out = counts @ probs / self.m
-        return float(out[0]) if np.isscalar(s) else out
 
     @cached_property
     def _groups(self):

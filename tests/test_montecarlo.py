@@ -6,13 +6,16 @@ import pytest
 from labelsim import (
     ExperimentConfig,
     ModelSpec,
+    NonConvergence,
     TooFewIncludedTrials,
     empirical_multiplier,
     isotropic_gaussian,
     logistic_link,
+    montecarlo,
     run_experiment,
     scaled_logistic_link,
     scaling_study,
+    tabulated_link,
 )
 from labelsim.montecarlo import _replicate_links
 
@@ -86,10 +89,35 @@ def test_minimal_two_trial_run_is_legal():
     assert summary.empirical_cov.shape == (3, 3)
 
 
-def test_too_many_separable_trials_raises():
+def _no_convergence(*args, **kwargs):
+    raise NonConvergence("no convergence")
+
+
+# (flag, trials excluded, config) of each reason a trial is excluded
+_EXCLUSIONS = [
     # large margin and tiny n make most trials linearly separable
-    config = _config(n=30, trials=10, t_star=8.0)
-    with pytest.raises(TooFewIncludedTrials):
+    ("separable", "5/10", _config(n=30, trials=10, t_star=8.0)),
+    # a labeler that always says +1 has a constant label column
+    ("degenerate-labeler", "5/5", _config(
+        n=2000, trials=5, seed=1, estimator="semiparam",
+        links=(LR, LR, tabulated_link([-1.0, 1.0], [1.0, 1.0])))),
+    # a near-noiseless labeler separates its 1-D reliability fit
+    ("alpha-degenerate", "5/5", _config(
+        n=2000, trials=5, seed=1, estimator="crowd",
+        links=(LR, scaled_logistic_link(1e6)))),
+    # every fit raises (fit is replaced below)
+    ("non-convergence", "5/5", _config(n=2000, trials=5, seed=1)),
+]
+
+
+@pytest.mark.parametrize("flag, excluded, config", _EXCLUSIONS,
+                         ids=[case[0] for case in _EXCLUSIONS])
+def test_too_many_excluded_trials_raise_naming_the_flag(monkeypatch, flag,
+                                                        excluded, config):
+    if flag == "non-convergence":
+        monkeypatch.setattr(montecarlo, "fit", _no_convergence)
+    with pytest.raises(TooFewIncludedTrials,
+                       match=f"^{excluded} trials excluded .*; flags: {flag}$"):
         run_experiment(config)
 
 

@@ -517,8 +517,10 @@ def test_gap_zero_at_t_star_when_well_specified():
 def test_gap_negative_at_zero_and_increasing():
     g = _gap(PredictionKind.MAJORITY_VOTE_EXACT, t_star=1.0, m=3)
     engine = g.engine
-    # at t=0 both link terms equal 1/2 and E[Z]=0, so h(0) = -E[Z phi(t* Z)]
-    expected = -engine.expect(lambda z: z * g.phi(1.0 * z))
+    # at t=0 both link terms equal 1/2 and E[Z]=0, so h(0) = -E[Z phi(t* Z)],
+    # phi the majority probability of 3 logistic votes
+    expected = -engine.expect(
+        lambda z: z * binom_tail_transform(link_eval(LR, 1.0 * z), 3))
     assert gap_eval(g, 0.0) == pytest.approx(expected, abs=1e-9)
     assert gap_eval(g, 0.0) < 0
     ts = np.linspace(0.0, 4.0, 9)
@@ -588,24 +590,35 @@ def test_well_specified_equals_multilabel_exact():
 
 def test_fixed_link_kinds_solve_to_t_star_on_symmetric_links():
     # a symmetric true link fitted as its own link has its population
-    # gradient zero at theta*, so the root solve returns t* itself
+    # gradient zero at theta*: the sampler's sigma and the loss terms come
+    # from one evaluator (link_terms), so the gap at t* is exactly 0 and the
+    # root solve returns t* itself
     grid = np.linspace(-3.0, 3.0, 13)
     tables = tuple(tabulated_link(grid, 0.5 + 0.5 * np.tanh(a * grid))
                    for a in (0.5, 1.0, 2.0))
     crowd = tuple(scaled_logistic_link(a) for a in (0.5, 1.0, 2.0))
     shared = [LR, scaled_logistic_link(0.3), scaled_logistic_link(5.0), *tables]
-    cases = [(kind, (link,) * m) for kind in (PredictionKind.WELL_SPECIFIED,
-                                              PredictionKind.SEMIPARAMETRIC)
+    # (kind, true links, t* values); multi-label fits the shared true link
+    cases = [(kind, (link,) * m, (1.0, 2.0))
+             for kind in (PredictionKind.WELL_SPECIFIED,
+                          PredictionKind.SEMIPARAMETRIC)
              for link in shared for m in (1, 4)]
-    cases += [(PredictionKind.SEMIPARAMETRIC, tables * 2),
-              (PredictionKind.SEMIPARAMETRIC, crowd),
-              (PredictionKind.CROWDSOURCING, crowd),
-              (PredictionKind.CROWDSOURCING, (LR,) * 3)]
-    for kind, links in cases:
-        for t_star in (1.0, 2.0):
-            pred = predict_covariance(kind, _model(t_star, len(links), links=links))
+    cases += [(PredictionKind.SEMIPARAMETRIC, tables * 2, (1.0, 2.0)),
+              (PredictionKind.SEMIPARAMETRIC, crowd, (1.0, 2.0)),
+              (PredictionKind.CROWDSOURCING, crowd, (1.0, 2.0)),
+              (PredictionKind.CROWDSOURCING, (LR,) * 3, (1.0, 2.0))]
+    cases += [(PredictionKind.MULTI_LABEL_EXACT, (link,) * 3, (1.7,))
+              for link in shared]
+    for kind, links, t_stars in cases:
+        for t_star in t_stars:
+            model = _model(t_star, len(links), links=links)
+            pred = predict_covariance(kind, model, model_link=links[0])
+            g = GapFunction(kind=kind, t_star=t_star, m=len(links),
+                            model_link=links[0], true_links=links,
+                            engine=ZExpectationEngine(dist=model.covariates))
             label = (kind.value, links[0].family.value, len(links), t_star)
-            assert pred.t_m == pytest.approx(t_star, rel=1e-12, abs=0.0), label
+            assert gap_eval(g, t_star) == 0.0, label
+            assert pred.t_m == t_star, label
             assert pred.root_iterations > 0, label
 
 
