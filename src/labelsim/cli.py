@@ -120,14 +120,21 @@ def _make_link(kind: str, alpha: float, key: str) -> LinkSpec:
     raise ConfigError(f"unknown link family {kind!r}")
 
 
-def _build_model(cfg: dict) -> ModelSpec:
-    d = _cfg_int(cfg, "d")
-    m = _cfg_int(cfg, "m")
-    t_star = _cfg_float(cfg, "t_star")
+def _theta(d: int, t_star: float) -> np.ndarray:
+    """theta* = t_star e_1 in R^d."""
+    if d < 1:
+        raise ConfigError(f"d must be at least 1, got {d}")
     if t_star <= 0:
         raise ConfigError("t_star must be positive")
     theta = np.zeros(d)
     theta[0] = t_star
+    return theta
+
+
+def _build_model(cfg: dict) -> ModelSpec:
+    d = _cfg_int(cfg, "d")
+    m = _cfg_int(cfg, "m")
+    theta = _theta(d, _cfg_float(cfg, "t_star"))
     if cfg["alpha"]:
         alphas = [float(a) for a in cfg["alpha"].split(",")]
         links = tuple(scaled_logistic_link(a) for a in alphas)
@@ -137,10 +144,7 @@ def _build_model(cfg: dict) -> ModelSpec:
     if cfg["covariates"] == "gaussian":
         dist = isotropic_gaussian(d)
     elif cfg["covariates"] == "beta-regular":
-        beta = _cfg_float(cfg, "beta")
-        if beta <= 0:
-            raise ConfigError("the margin-density regularity requires beta > 0")
-        dist = beta_regular(d, beta, theta)
+        dist = beta_regular(d, _cfg_float(cfg, "beta"), theta)
     else:
         raise ConfigError(f"unknown covariates kind {cfg['covariates']!r}")
     return ModelSpec(theta_star=theta, links=links, covariates=dist)
@@ -232,8 +236,7 @@ _KIND_NAMES = {"well-specified": PredictionKind.WELL_SPECIFIED, **_THEORY_KIND}
 def cmd_theory(args) -> int:
     if args.impossibility:
         link = logistic_link()
-        theta = np.zeros(args.d)
-        theta[0] = args.tstar
+        theta = _theta(args.d, args.tstar)
         grid = np.linspace(-6.0 * args.tstar, 6.0 * args.tstar, 200)
         matched = construct_matching_link(link, theta, args.m, theta, args.mbar,
                                           grid=grid)
@@ -255,10 +258,6 @@ def cmd_theory(args) -> int:
         "alpha": args.alpha or "",
         "covariates": args.covariates,
     })
-    if args.beta <= 0:
-        print("error: the margin-density regularity requires beta > 0",
-              file=sys.stderr)
-        return 2
     model = _build_model(cfg)
     pred = predict_covariance(_KIND_NAMES[args.kind], model)
     _write_lines(args.output, [
@@ -326,6 +325,8 @@ def cmd_ingest(csv_path: str) -> MultiLabelDataset:
         except ValueError:
             raise ConfigError(f"{csv_path}:{lineno}: non-numeric field") from None
         feats, labels = values[:d], values[d:]
+        if not np.all(np.isfinite(feats)):
+            raise ConfigError(f"{csv_path}:{lineno}: non-finite feature")
         mapped = []
         for value in labels:
             if value == 0.0:

@@ -17,8 +17,8 @@ antiderivative. A symmetric link has S(-u) = S(u) - u, sigma(-u) =
 evaluation at u and one total count k: loss sum_g M_g S_g(u) - k u,
 gradient coefficients c = sum_g M_g sigma_g(u) - k and Hessian weights
 w = sum_g M_g sigma_g'(u), all over n sum_g M_g. Scaled-logistic links are
-symmetric, and so are tabulated links flagged ``symmetric`` (checked to
-round-off); symmetric tables on one grid become one table of knot values
+symmetric, and so are mirror-symmetric tables (``links.mirror_symmetric``,
+to round-off); symmetric tables on one grid become one table of knot values
 sum_g M_g v_g. Any other group keeps the two-sided form, evaluated at u and
 -u. A kernel call, ``kernel(u) -> (loss, c, w)``, evaluates each link once
 per side through ``links.link_terms`` (S, sigma and sigma' together).

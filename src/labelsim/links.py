@@ -52,23 +52,23 @@ class LinkSpec:
 
     For the tabulated family, ``grid`` must be strictly increasing and
     uniform (evenly spaced, as ``np.linspace`` makes it), ``values`` must be
-    nondecreasing in [0, 1] with adjacent slopes bounded by ``lipschitz``,
-    and evaluation clamps to the endpoint values outside the grid. The
-    lookup table (slopes, cumulative integral, S(0)) is built once, here.
-    A tabulated link flagged ``symmetric`` must pass ``mirror_symmetric``;
-    the loss kernels rely on sigma(t) + sigma(-t) = 1 for such a link.
+    nondecreasing in [0, 1], and evaluation clamps to the endpoint values
+    outside the grid. The lookup table (slopes, cumulative integral, S(0))
+    is built once, here. ``symmetric`` (sigma(t) + sigma(-t) = 1, which the
+    loss kernels rely on) is derived, not set: True for the scaled-logistic
+    family and ``mirror_symmetric(grid, values)`` for a table.
     """
 
     family: LinkFamily
     alpha: float = 1.0
     grid: np.ndarray | None = None
     values: np.ndarray | None = None
-    lipschitz: float | None = None
-    symmetric: bool = True
 
     def __post_init__(self):
-        if self.family is LinkFamily.SCALED_LOGISTIC and not 0 < self.alpha < np.inf:
-            raise ValueError("scaled-logistic alpha must be positive and finite")
+        if self.family is LinkFamily.SCALED_LOGISTIC:
+            if not 0 < self.alpha < np.inf:
+                raise ValueError("scaled-logistic alpha must be positive and finite")
+            object.__setattr__(self, "symmetric", True)
         if self.family is LinkFamily.TABULATED_MONOTONE:
             # own read-only copies, so the table built below stays in step
             grid = np.array(self.grid, dtype=float)
@@ -84,16 +84,10 @@ class LinkSpec:
                 raise ValueError("tabulated values must be nondecreasing")
             if np.any(values < -SYMMETRY_TOL) or np.any(values > 1 + SYMMETRY_TOL):
                 raise ValueError("tabulated values must lie in [0, 1]")
-            if self.symmetric and not mirror_symmetric(grid, values):
-                raise ValueError("tabulated link flagged symmetric is not "
-                                 "mirror-symmetric about (0, 1/2)")
-            if self.lipschitz is not None:
-                slopes = np.diff(values) / np.diff(grid)
-                if np.any(slopes > self.lipschitz * (1 + 1e-9) + 1e-12):
-                    raise ValueError("tabulated values violate Lipschitz bound")
             object.__setattr__(self, "grid", grid)
             object.__setattr__(self, "values", values)
-            # not a dataclass field: equality and repr see grid and values only
+            # not dataclass fields: equality and repr see grid and values only
+            object.__setattr__(self, "symmetric", mirror_symmetric(grid, values))
             object.__setattr__(self, "_table", _UniformTable(grid, values))
 
 
@@ -197,27 +191,11 @@ def scaled_logistic_link(alpha: float) -> LinkSpec:
     return LinkSpec(family=LinkFamily.SCALED_LOGISTIC, alpha=alpha)
 
 
-def tabulated_link(grid, values, lipschitz=None, symmetric=None) -> LinkSpec:
+def tabulated_link(grid, values) -> LinkSpec:
     """Piecewise-linear link through (grid, values). The grid must be
     strictly increasing and uniform (``np.linspace``); a non-uniform grid
-    raises ``ValueError``. ``lipschitz`` defaults to the steepest slope and
-    ``symmetric`` to ``mirror_symmetric(grid, values)``."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if lipschitz is None:
-        gaps = np.diff(grid)
-        if np.any(gaps <= 0):
-            raise ValueError("tabulated grid must be strictly increasing")
-        lipschitz = float(np.max(np.diff(values) / gaps))
-    if symmetric is None:
-        symmetric = mirror_symmetric(grid, values)
-    return LinkSpec(
-        family=LinkFamily.TABULATED_MONOTONE,
-        grid=grid,
-        values=values,
-        lipschitz=float(lipschitz),
-        symmetric=symmetric,
-    )
+    raises ``ValueError``."""
+    return LinkSpec(family=LinkFamily.TABULATED_MONOTONE, grid=grid, values=values)
 
 
 def mirror_symmetric(grid: np.ndarray, values: np.ndarray) -> bool:
@@ -234,9 +212,7 @@ def same_link(a: LinkSpec, b: LinkSpec) -> bool:
     tabulated = LinkFamily.TABULATED_MONOTONE
     if a.family is tabulated and b.family is tabulated:
         # the dataclass __eq__ cannot compare the knot arrays
-        return ((a.lipschitz, a.symmetric) == (b.lipschitz, b.symmetric)
-                and np.array_equal(a.grid, b.grid)
-                and np.array_equal(a.values, b.values))
+        return np.array_equal(a.grid, b.grid) and np.array_equal(a.values, b.values)
     return a == b
 
 
@@ -297,7 +273,7 @@ def link_terms(link: LinkSpec, t: np.ndarray):
     these three also give the terms at -t. Tabulated: one bin lookup serves
     all three (``_UniformTable.terms``): S piecewise-quadratic, sigma
     piecewise-linear and sigma' piecewise-constant; the identities hold to
-    round-off when the link is flagged ``symmetric`` (``mirror_symmetric``)
+    round-off when the knots are ``mirror_symmetric`` (``link.symmetric``)
     and not at all otherwise, where -t takes its own call. The caller owns
     the returned arrays.
     """
@@ -353,8 +329,8 @@ class CovariateDistribution:
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
         if self.kind is CovariateKind.BETA_REGULAR:
-            if self.beta is None or self.beta <= 0:
-                raise ValueError("beta-regular distribution needs beta > 0")
+            if self.beta is None or not 0 < self.beta < np.inf:
+                raise ValueError("beta-regular distribution needs finite beta > 0")
             u = np.asarray(self.direction, dtype=float)
             nrm = np.linalg.norm(u)
             if u.shape != (self.d,) or nrm == 0:
@@ -416,8 +392,8 @@ class ModelSpec:
         theta = np.asarray(self.theta_star, dtype=float)
         if theta.ndim != 1 or theta.size < 1:
             raise ValueError("theta_star must be a nonempty vector")
-        if np.linalg.norm(theta) == 0:
-            raise ValueError("theta_star must be nonzero")
+        if not 0 < np.linalg.norm(theta) < np.inf:
+            raise ValueError("theta_star must be finite and nonzero")
         if len(self.links) < 1:
             raise ValueError("need at least one labeler link")
         if self.covariates.d != theta.size:

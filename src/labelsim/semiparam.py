@@ -263,10 +263,7 @@ def _fit_single_link(grid: np.ndarray, idx: np.ndarray, counts: np.ndarray,
         rise, fall = _fill_empty(rise, has_r), _fill_empty(fall, has_l)
         iters = free_r + free_l
     values = np.concatenate([0.5 - fall[::-1], [0.5], 0.5 + rise])
-    link = tabulated_link(grid, np.clip(values, 0.0, 1.0),
-                          lipschitz=opts.lipschitz,
-                          symmetric=opts.enforce_symmetry)
-    return link, iters
+    return tabulated_link(grid, np.clip(values, 0.0, 1.0)), iters
 
 
 def fit_links_with_diagnostics(u_init, dataset: MultiLabelDataset,

@@ -348,8 +348,8 @@ def construct_matching_link(sigma_star: LinkSpec, theta_star, m: int,
     theta_star = np.asarray(theta_star, dtype=float)
     theta_bar = np.asarray(theta_bar, dtype=float)
     ns, nb = np.linalg.norm(theta_star), np.linalg.norm(theta_bar)
-    if ns == 0 or nb == 0:
-        raise ValueError("parameter vectors must be nonzero")
+    if not (0 < ns < np.inf and 0 < nb < np.inf):
+        raise ValueError("theta_star and theta_bar must be finite and nonzero")
     if np.linalg.norm(theta_star / ns - theta_bar / nb) > 1e-12:
         raise ValueError("theta_bar must be collinear with theta_star")
     scale = ns / nb
@@ -429,11 +429,11 @@ class GapFunction:
     minimized at t_m u*, h(t_m) = 0.
 
     The estimator ``kind`` sets the label groups on the nodes: the model
-    link with m labels (multi-label) or with one majority vote (majority
-    vote), or each distinct true link as its own fitted link with its M_g
-    labels (well-specified, semiparametric and crowdsourcing, whose fits
-    know the links up to the norm; for one shared link this is multi-label
-    with that link as the model link). The label probability
+    link with m = len(true_links) labels (multi-label) or with one majority
+    vote (majority vote), or each distinct true link as its own fitted link
+    with its M_g labels (well-specified, semiparametric and crowdsourcing,
+    whose fits know the links up to the norm; for one shared link this is
+    multi-label with that link as the model link). The label probability
     phi(s) = P(label +1 | margin s), which those groups carry at s = t* z,
     is the tie-broken majority probability for majority vote and the
     average of the true links otherwise.
@@ -447,7 +447,6 @@ class GapFunction:
 
     kind: PredictionKind
     t_star: float
-    m: int
     model_link: LinkSpec
     true_links: tuple[LinkSpec, ...]
     engine: ZExpectationEngine
@@ -455,12 +454,12 @@ class GapFunction:
     def __post_init__(self):
         if self.t_star <= 0:
             raise ValueError("t_star must be positive")
-        links = tuple(_as_links(self.true_links, self.m))
+        links = tuple(self.true_links)
         object.__setattr__(self, "true_links", links)
         majority = self.kind is PredictionKind.MAJORITY_VOTE_EXACT
         object.__setattr__(self, "engine", _resolve_for_links(
             self.engine, group_links(links)[0], self.t_star,
-            math.sqrt(self.m) if majority else 1.0))
+            math.sqrt(len(links)) if majority else 1.0))
 
     @cached_property
     def _groups(self):
@@ -469,8 +468,8 @@ class GapFunction:
         directly), or M_g labels of each distinct true link."""
         probs, counts = _link_probs(self.true_links, self.t_star * self.engine.nodes)
         if self.kind is PredictionKind.MULTI_LABEL_EXACT:
-            return ((self.model_link, self.m, counts @ probs, counts @ (1.0 - probs),
-                     counts @ (probs * (1.0 - probs))),)
+            return ((self.model_link, len(self.true_links), counts @ probs,
+                     counts @ (1.0 - probs), counts @ (probs * (1.0 - probs))),)
         if self.kind is PredictionKind.MAJORITY_VOTE_EXACT:
             plus, minus = _vote_tails(probs, counts)
             return ((self.model_link, 1, plus, minus, plus * minus),)
@@ -574,7 +573,7 @@ def predict_covariance(kind: PredictionKind, model: ModelSpec,
                          "every labeler")
     if model_link is None:
         model_link = logistic_link()
-    g = GapFunction(kind=kind, t_star=model.t_star, m=model.m, model_link=model_link,
+    g = GapFunction(kind=kind, t_star=model.t_star, model_link=model_link,
                     true_links=model.links,
                     engine=ZExpectationEngine(dist=model.covariates))
     t_m = solve_tm(g)

@@ -176,7 +176,7 @@ def test_05_majority_vote_sqrt_m_law():
     study = scaling_study(base, [1, 4, 16, 64])
     rel = [abs(row["empirical_multiplier"] / row["theory_multiplier"] - 1.0)
            for row in study.rows]
-    g = GapFunction(kind=PredictionKind.MAJORITY_VOTE_EXACT, t_star=2.0, m=1024,
+    g = GapFunction(kind=PredictionKind.MAJORITY_VOTE_EXACT, t_star=2.0,
                     model_link=LR, true_links=(LR,) * 1024,
                     engine=ZExpectationEngine(dist=isotropic_gaussian(5)))
     ratio = solve_tm(g) / (2.0 * np.sqrt(1024))

@@ -254,6 +254,30 @@ def test_theory_rejects_non_finite_link_alpha(alpha, capsys):
     assert "positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["theory", "--d", "0"], "d must be at least 1"),
+    (["simulate", "d=0"], "d must be at least 1"),
+    (["theory", "--impossibility", "--d", "0"], "d must be at least 1"),
+    (["theory", "--tstar", "nan"], "theta_star must be finite"),
+    (["theory", "--tstar", "inf"], "theta_star must be finite"),
+    (["theory", "--impossibility", "--tstar", "nan"], "theta_star and theta_bar"),
+    (["theory", "--impossibility", "--tstar", "-1"], "t_star must be positive"),
+    (["theory", "--covariates", "beta-regular", "--beta", "nan"], "beta > 0"),
+    (["theory", "--covariates", "beta-regular", "--beta", "inf"], "beta > 0"),
+    (["simulate", "covariates=beta-regular\nbeta=nan"], "beta > 0"),
+])
+def test_bad_model_inputs_are_config_errors_naming_the_parameter(
+        tmp_path, capsys, argv, message):
+    # an empty dimension, a non-finite or nonpositive norm and a non-finite
+    # beta are rejected where they enter; a simulate case's second item is
+    # the config's extra lines
+    if argv[0] == "simulate":
+        argv = ["simulate", _minimal_config(tmp_path, str(tmp_path / "r.csv"),
+                                            extra=argv[1])]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_semiparam_command_writes_links(tmp_path):
     out = str(tmp_path / "sp.csv")
     config = _write(tmp_path / "sp.txt",
@@ -284,6 +308,15 @@ def test_ingest_rejects_bad_label_with_line_number(tmp_path, capsys):
         cmd_ingest(path)
     assert main(["ingest", path]) == 2
     assert ":3" in capsys.readouterr().err
+
+
+def test_ingest_rejects_non_finite_features_with_line_number(tmp_path, capsys):
+    for row in ("nan,0.5,1,0", "0.5,inf,1,0"):
+        path = _write(tmp_path / "f.csv", f"x1,x2,y1,y2\n0.1,0.3,-1,1\n{row}\n")
+        with pytest.raises(ConfigError, match=":3: non-finite feature"):
+            cmd_ingest(path)
+        assert main(["ingest", path]) == 2
+        assert ":3" in capsys.readouterr().err
 
 
 def test_ingest_header_validation(tmp_path):

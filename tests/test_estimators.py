@@ -164,7 +164,7 @@ def test_count_kernel_groups_match_per_labeler_formulas():
 
 
 def test_nearly_symmetric_table_stays_two_sided():
-    # symmetric only to 1e-9: not flagged, so the kernel evaluates it at +-u
+    # symmetric only to 1e-9: not symmetric, so the kernel evaluates it at +-u
     grid = np.linspace(-3, 3, 13)
     values = 0.5 + 0.4 * np.tanh(grid)
     values[-1] += 1e-9

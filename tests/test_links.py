@@ -82,8 +82,6 @@ def test_tabulated_link_validation():
         tabulated_link(grid, [0.1, 0.3, 0.5, 0.6, 1.2])  # outside [0,1]
     with pytest.raises(ValueError):
         tabulated_link([0.0, 0.0, 1.0], [0.1, 0.2, 0.3])  # grid not increasing
-    with pytest.raises(ValueError):
-        tabulated_link(grid, [0.0, 0.1, 0.5, 0.9, 1.0], lipschitz=0.2)
 
 
 def test_link_parameters_must_be_finite():
@@ -97,42 +95,34 @@ def test_link_parameters_must_be_finite():
         tabulated_link([-1.0, -0.5, np.nan, 0.5, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(ValueError, match="finite"):
         LinkSpec(family=LinkFamily.TABULATED_MONOTONE, grid=grid,
-                 values=[0.0, 0.25, np.nan, 0.75, 1.0], symmetric=False)
+                 values=[0.0, 0.25, np.nan, 0.75, 1.0])
 
 
 def test_tabulated_symmetry_detection():
-    grid = np.linspace(-2, 2, 5)
-    sym = tabulated_link(grid, [0.1, 0.3, 0.5, 0.7, 0.9])
-    asym = tabulated_link(grid, [0.2, 0.3, 0.5, 0.7, 0.9])
-    assert sym.symmetric
-    assert not asym.symmetric
-
-
-def test_symmetric_flag_is_checked():
-    # symmetric=True needs mirror-image knots with v(t) + v(-t) = 1 to
-    # SYMMETRY_TOL; detection uses the same test
+    # symmetric means mirror-image knots with v(t) + v(-t) = 1 to
+    # SYMMETRY_TOL, derived from the knots
     grid = np.linspace(-2, 2, 5)
     values = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-    assert tabulated_link(grid, values, symmetric=True).symmetric
-    with pytest.raises(ValueError, match="symmetric"):
-        tabulated_link(grid, [0.2, 0.3, 0.5, 0.7, 0.9], symmetric=True)
-    with pytest.raises(ValueError, match="symmetric"):
-        tabulated_link(np.linspace(-2, 3, 5), values, symmetric=True)
-    # the LinkSpec default is symmetric, so a bare asymmetric table raises
-    with pytest.raises(ValueError, match="symmetric"):
-        LinkSpec(family=LinkFamily.TABULATED_MONOTONE, grid=grid,
-                 values=[0.2, 0.3, 0.5, 0.7, 0.9])
-    # off by 1e-9 at one knot: neither flagged nor accepted as symmetric
+    assert tabulated_link(grid, values).symmetric
+    assert not tabulated_link(grid, [0.2, 0.3, 0.5, 0.7, 0.9]).symmetric
+    assert not tabulated_link(np.linspace(-2, 3, 5), values).symmetric
+    # a bare asymmetric table is accepted, and reads as asymmetric
+    bare = LinkSpec(family=LinkFamily.TABULATED_MONOTONE, grid=grid,
+                    values=[0.2, 0.3, 0.5, 0.7, 0.9])
+    assert not bare.symmetric
+    # off by 1e-9 at one knot: not symmetric
     near = values.copy()
     near[-1] += 1e-9
     assert not tabulated_link(grid, near).symmetric
-    with pytest.raises(ValueError, match="symmetric"):
-        tabulated_link(grid, near, symmetric=True)
     # off by round-off: symmetric
     close = values.copy()
     close[-1] += 1e-15
     assert tabulated_link(grid, close).symmetric
     assert tabulated_link(grid * (1 + 1e-15), values).symmetric
+    # the scaled-logistic family is symmetric at every alpha
+    for alpha in (0.2, 1.0, 10.0):
+        assert scaled_logistic_link(alpha).symmetric
+    assert LinkSpec(family=LinkFamily.SCALED_LOGISTIC).symmetric
 
 
 def test_tabulated_eval_clamps_and_interpolates():

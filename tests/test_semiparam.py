@@ -58,6 +58,7 @@ def _assert_feasible(link, opts):
     assert vals[center] == 0.5
     if opts.enforce_symmetry:
         assert np.max(np.abs(vals + vals[::-1] - 1.0)) < 1e-8
+        assert link.symmetric
 
 
 @pytest.mark.parametrize("symmetric", [True, False])

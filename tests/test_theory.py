@@ -505,7 +505,7 @@ def test_matching_link_rejects_non_collinear():
 def _gap(kind, t_star, m, model_link=LR, links=None, engine=None):
     links = links or (LR,) * m
     engine = engine or ZExpectationEngine(dist=GAUSS3)
-    return GapFunction(kind=kind, t_star=t_star, m=m, model_link=model_link,
+    return GapFunction(kind=kind, t_star=t_star, model_link=model_link,
                        true_links=links, engine=engine)
 
 
@@ -613,7 +613,7 @@ def test_fixed_link_kinds_solve_to_t_star_on_symmetric_links():
         for t_star in t_stars:
             model = _model(t_star, len(links), links=links)
             pred = predict_covariance(kind, model, model_link=links[0])
-            g = GapFunction(kind=kind, t_star=t_star, m=len(links),
+            g = GapFunction(kind=kind, t_star=t_star,
                             model_link=links[0], true_links=links,
                             engine=ZExpectationEngine(dist=model.covariates))
             label = (kind.value, links[0].family.value, len(links), t_star)
