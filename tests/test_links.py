@@ -99,6 +99,18 @@ def test_link_parameters_must_be_finite():
 
 
 def test_tabulated_symmetry_detection():
+    grid = np.linspace(-2, 2, 5)
+    sym = tabulated_link(grid, [0.1, 0.3, 0.5, 0.7, 0.9])
+    asym = tabulated_link(grid, [0.2, 0.3, 0.5, 0.7, 0.9])
+    assert sym.symmetric
+    assert not asym.symmetric
+    # the scaled-logistic family is symmetric at every alpha
+    for alpha in (0.2, 1.0, 10.0):
+        assert scaled_logistic_link(alpha).symmetric
+    assert LinkSpec(family=LinkFamily.SCALED_LOGISTIC).symmetric
+
+
+def test_symmetric_flag_is_checked():
     # symmetric means mirror-image knots with v(t) + v(-t) = 1 to
     # SYMMETRY_TOL, derived from the knots
     grid = np.linspace(-2, 2, 5)
@@ -119,10 +131,6 @@ def test_tabulated_symmetry_detection():
     close[-1] += 1e-15
     assert tabulated_link(grid, close).symmetric
     assert tabulated_link(grid * (1 + 1e-15), values).symmetric
-    # the scaled-logistic family is symmetric at every alpha
-    for alpha in (0.2, 1.0, 10.0):
-        assert scaled_logistic_link(alpha).symmetric
-    assert LinkSpec(family=LinkFamily.SCALED_LOGISTIC).symmetric
 
 
 def test_tabulated_eval_clamps_and_interpolates():
