@@ -24,6 +24,7 @@ from .datagen import (
     sample_covariates,
     sample_dataset,
     sample_labels,
+    sample_majority_votes,
     stream_rng,
 )
 from .estimators import (

@@ -46,7 +46,7 @@ from .theory import (
     predict_covariance,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DEFAULTS = {
     "estimator": "multilabel",

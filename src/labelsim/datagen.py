@@ -1,4 +1,4 @@
-"""Seeded sampling of covariates and per-labeler labels.
+"""Seeded sampling of covariates, per-labeler labels and majority votes.
 
 Every sampling routine derives an independent RNG stream from
 (seed, trial, purpose), so parallel trial generation stays reproducible.
@@ -18,12 +18,14 @@ from .links import (
     group_links,
     link_eval,
 )
+from .theory import _link_probs, _vote_plus
 
 __all__ = [
     "stream_rng",
     "sample_covariates",
     "sample_labels",
     "sample_dataset",
+    "sample_majority_votes",
     "majority_vote_matrix",
 ]
 
@@ -85,8 +87,37 @@ def sample_dataset(model: ModelSpec, n: int, seed: int, trial: int = 0) -> Multi
     return MultiLabelDataset(X=X, Y=Y)
 
 
+def sample_majority_votes(model: ModelSpec, X: np.ndarray, seed: int,
+                          trial: int = 0) -> np.ndarray:
+    """Draw each row's tie-broken majority vote of the model's m labelers
+    from its exact law, without drawing the labels.
+
+    Given X, the vote is +1 with probability P(vote = +1 | <theta*, x_i>):
+    I_p(h, h) with h = ceil(m / 2) when every labeler shares one link, and
+    the Poisson-binomial tail over the link groups otherwise, an exact tie
+    counting half (``theory._vote_plus``, the law the theory integrates).
+    Each distinct link is evaluated once, and one uniform per row from the
+    ``"votes"`` stream decides the vote. The result is a C-contiguous int8
+    n x 1 column of +-1. It has the law of ``majority_vote_matrix`` of
+    ``sample_labels``, not its draws, and takes n uniforms instead of n m.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.shape[1] != model.d:
+        raise ValueError("covariate dimension mismatch")
+    plus = _vote_plus(*_link_probs(model.links, X @ model.theta_star))
+    positive = stream_rng(seed, trial, "votes").random(X.shape[0]) < plus
+    # True/False as int8 1/0, mapped to +1/-1 in place
+    votes = positive.view(np.int8)[:, None]
+    votes *= 2
+    votes -= 1
+    return votes
+
+
 def majority_vote_matrix(Y: np.ndarray, seed: int, trial: int = 0) -> np.ndarray:
-    """Row-wise majority labels for an n x m label matrix; one coin per tied row."""
+    """Row-wise majority labels for an n x m label matrix; one coin per tied
+    row from the ``"tiebreak"`` stream. This is the majority-vote estimator's
+    reduction of observed labels; Monte Carlo trials draw the votes directly
+    (``sample_majority_votes``)."""
     Y = np.asarray(Y)
     sums = Y.sum(axis=1)
     out = np.sign(sums).astype(np.int8)

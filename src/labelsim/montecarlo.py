@@ -8,7 +8,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import sample_dataset, sample_labels
+from .datagen import (
+    sample_covariates,
+    sample_dataset,
+    sample_labels,
+    sample_majority_votes,
+)
 from .estimators import LossMode, LossSpec, NonConvergence, fit
 from .links import (
     LinkSpec,
@@ -105,8 +110,7 @@ def _fit_trial(config: ExperimentConfig, trial: int, ds: MultiLabelDataset):
             n_eff = config.n
         elif config.estimator == "majority":
             res = fit(LossSpec(mode=LossMode.MAJORITY_VOTE,
-                               model_link=config.model_link,
-                               tie_seed=config.seed, tie_trial=trial), ds)
+                               model_link=config.model_link), ds)
             n_eff = config.n
         elif config.estimator == "semiparam":
             sp = semiparametric_fit(ds, config.split_fraction, config.isotonic)
@@ -128,18 +132,30 @@ def _fit_trial(config: ExperimentConfig, trial: int, ds: MultiLabelDataset):
     return res.u_hat, "", n_eff
 
 
+def _draw(config: ExperimentConfig, X: np.ndarray, trial: int) -> MultiLabelDataset:
+    """The config's n x m labels on X, or for majority vote its n x 1 vote
+    column drawn from the vote's exact law (``sample_majority_votes``)."""
+    sample = sample_majority_votes if config.estimator == "majority" else sample_labels
+    return MultiLabelDataset(X=X, Y=sample(config.model, X, config.seed, trial))
+
+
 def _run_trial(configs: list[ExperimentConfig], trial: int) -> list[tuple]:
     """One seeded trial of every config on one draw of covariates: the first
-    config samples its whole dataset, each later one only its labels on the
-    same X. Returns one (u_hat, flag, n_eff) per config."""
+    config draws X with its labels (``sample_dataset``), or X alone and then
+    its votes when it is majority vote; each later config draws only its
+    labels or votes on the same X (``_draw``). Returns one
+    (u_hat, flag, n_eff) per config."""
     first = configs[0]
-    ds = sample_dataset(first.model, first.n, first.seed, trial)
+    if first.estimator == "majority":
+        ds = _draw(first, sample_covariates(first.model.covariates, first.n,
+                                            first.seed, trial), trial)
+    else:
+        ds = sample_dataset(first.model, first.n, first.seed, trial)
     X = ds.X
     outcomes = [_fit_trial(first, trial, ds)]
     for config in configs[1:]:
         del ds  # free the previous labels before drawing the next
-        ds = MultiLabelDataset(X=X, Y=sample_labels(config.model, X,
-                                                    config.seed, trial))
+        ds = _draw(config, X, trial)
         outcomes.append(_fit_trial(config, trial, ds))
     return outcomes
 

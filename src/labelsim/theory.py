@@ -31,7 +31,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
 from .links import (
     CovariateDistribution,
@@ -242,16 +242,30 @@ def _link_probs(links, s) -> tuple[np.ndarray, np.ndarray]:
     return probs, np.bincount(index)
 
 
-def _binom_tails(p, m: int):
-    """(P(vote +1), P(vote -1)) of the majority of m i.i.d. votes that are
-    +1 with probability p, exact ties broken by a fair coin. With
-    h = ceil(m / 2), P(vote +1) = P(Binomial(2h - 1, p) >= h) = I_p(h, h),
-    the regularized incomplete beta function (for even m a tie is a fair
-    coin, so the vote is that of m - 1 votes), and P(vote -1) = I_{1-p}(h, h).
-    Each tail is computed directly, so neither loses relative accuracy as
-    1 - other."""
+def _binom_tail(p, m: int):
+    """P(vote +1) of the majority of m i.i.d. votes that are +1 with
+    probability p, exact ties broken by a fair coin. With h = ceil(m / 2),
+    it is P(Binomial(2h - 1, p) >= h) = I_p(h, h), the regularized
+    incomplete beta function (for even m a tie is a fair coin, so the vote
+    is that of m - 1 votes)."""
     h = (m + 1) // 2
-    return special.betainc(h, h, p), special.betainc(h, h, 1.0 - p)
+    return special.betainc(h, h, p)
+
+
+def _binom_tails(p, m: int):
+    """(P(vote +1), P(vote -1)) as ``_binom_tail``: P(vote -1) is
+    I_{1-p}(h, h). Each tail is computed directly, so neither loses
+    relative accuracy as 1 - other."""
+    return _binom_tail(p, m), _binom_tail(1.0 - p, m)
+
+
+def _binom_pmf(c: int, p: np.ndarray) -> np.ndarray:
+    """Binomial(c, p[i]) probabilities of k = 0..c (points x (c + 1)), from
+    the log pmf: an exact 0 where p is 0 or 1 and k is not c p."""
+    k = np.arange(c + 1)
+    p = p[:, None]
+    log_choose = special.gammaln(c + 1) - special.gammaln(k + 1) - special.gammaln(c - k + 1)
+    return np.exp(log_choose + special.xlogy(k, p) + special.xlog1py(c - k, -p))
 
 
 def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -273,7 +287,7 @@ def _poisson_binomial_majority(probs: np.ndarray, counts: np.ndarray):
     """
     dist = np.ones((probs.shape[1], 1))
     for p, c in zip(probs, counts):
-        dist = _convolve_rows(dist, stats.binom.pmf(np.arange(c + 1), c, p[:, None]))
+        dist = _convolve_rows(dist, _binom_pmf(c, p))
     m = dist.shape[1] - 1
     k = m // 2
     plus = dist[:, k + 1:].sum(axis=1)
@@ -288,6 +302,14 @@ def _vote_tails(probs: np.ndarray, counts: np.ndarray):
     if counts.size == 1:
         return _binom_tails(probs[0], int(counts[0]))
     return _poisson_binomial_majority(probs, counts)
+
+
+def _vote_plus(probs: np.ndarray, counts: np.ndarray):
+    """P(majority vote +1) at each point: the first of ``_vote_tails``,
+    without the incomplete-beta call of the second for one link group."""
+    if counts.size == 1:
+        return _binom_tail(probs[0], int(counts[0]))
+    return _poisson_binomial_majority(probs, counts)[0]
 
 
 def rho_m(t, m: int, true_links):
@@ -305,19 +327,19 @@ def rho_m(t, m: int, true_links):
 
 def binom_tail_transform(p, m: int):
     """T_m(p): majority-vote accuracy of m i.i.d. votes of accuracy p,
-    I_p(h, h) with h = ceil(m / 2) (``_binom_tails``)."""
+    I_p(h, h) with h = ceil(m / 2) (``_binom_tail``)."""
     if m < 1:
         raise ValueError("need m >= 1")
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < 0) or np.any(p_arr > 1):
         raise ValueError("p must lie in [0, 1]")
-    out = _binom_tails(p_arr, m)[0]
+    out = _binom_tail(p_arr, m)
     return float(out) if np.isscalar(p) else out
 
 
 def inverse_binom_tail_transform(q, m: int):
     """T_m^{-1}(q) for all q at once, exact up to rounding: T_m(p) = I_p(h, h)
-    with h = ceil(m / 2) (``_binom_tails``), whose inverse in p is scipy's
+    with h = ceil(m / 2) (``_binom_tail``), whose inverse in p is scipy's
     betaincinv.
     """
     if m < 1:

@@ -70,7 +70,7 @@ def test_simulate_writes_csv_with_schema_header(tmp_path):
     config = _minimal_config(tmp_path, out)
     assert main(["simulate", config]) == 0
     lines = open(out).read().splitlines()
-    assert lines[0] == "# schema_version=1"
+    assert lines[0] == "# schema_version=2"
     header = [line for line in lines if line.startswith("# n=")]
     assert header == ["# n=500"]
     solver = [line for line in lines if line.startswith("# solver.")]
@@ -86,14 +86,15 @@ def test_simulate_writes_csv_with_schema_header(tmp_path):
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
-    out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    config = _minimal_config(tmp_path, out1)
-    assert main(["simulate", config]) == 0
-    assert main(["simulate", config, "--output", out2]) == 0
-    a, b = open(out1, "rb").read(), open(out2, "rb").read()
-    assert a == b
-    assert open(out1 + ".summary.json", "rb").read() \
-        == open(out2 + ".summary.json", "rb").read()
+    for extra in ("", "estimator=majority\nm=4"):
+        out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        config = _minimal_config(tmp_path, out1, extra)
+        assert main(["simulate", config]) == 0
+        assert main(["simulate", config, "--output", out2]) == 0
+        a, b = open(out1, "rb").read(), open(out2, "rb").read()
+        assert a == b
+        assert open(out1 + ".summary.json", "rb").read() \
+            == open(out2 + ".summary.json", "rb").read()
 
 
 def test_simulate_scaling_study_output(tmp_path):

@@ -4,13 +4,16 @@ import pytest
 from labelsim import (
     ModelSpec,
     beta_regular,
+    binom_tail_transform,
     isotropic_gaussian,
     link_eval,
     logistic_link,
     majority_vote_matrix,
+    rho_m,
     sample_covariates,
     sample_dataset,
     sample_labels,
+    sample_majority_votes,
     scaled_logistic_link,
     stream_rng,
     tabulated_link,
@@ -149,3 +152,38 @@ def test_majority_vote_matrix_matches_rowwise():
     assert set(np.unique(out)) <= {-1, 1}
     # deterministic under the same seed
     assert np.array_equal(out, majority_vote_matrix(Y, seed=11))
+
+
+@pytest.mark.parametrize("links", [(logistic_link(),) * m for m in (1, 2, 4, 16, 64)]
+                         + [(scaled_logistic_link(0.2), scaled_logistic_link(10.0)) * h
+                            for h in (2, 8)],
+                         ids=[f"logistic m={m}" for m in (1, 2, 4, 16, 64)]
+                         + ["slope 0.2/10 m=4", "slope 0.2/10 m=16"])
+def test_majority_votes_match_vote_law(links):
+    # at each fixed margin t the vote agrees with sign(t) at the rate rho_m;
+    # 4.5 standard errors keep this seeded check from failing by chance
+    margins = np.repeat([-0.6, 0.15, 0.8], 100_000)
+    model = ModelSpec(theta_star=np.array([1.0, 0.0]), links=links,
+                      covariates=isotropic_gaussian(2))
+    X = np.column_stack([margins, np.zeros_like(margins)])
+    votes = sample_majority_votes(model, X, seed=6, trial=1)
+    for t in np.unique(margins):
+        agree = np.mean(votes[margins == t, 0] == np.sign(t))
+        rate = rho_m(t, len(links), links)
+        se = np.sqrt(rate * (1.0 - rate) / 100_000)
+        assert abs(agree - rate) <= 4.5 * se, (t, agree, rate)
+
+
+def test_majority_votes_are_seeded_and_drawn_from_the_votes_stream():
+    model = _model(d=3, t_star=2.0, m=4)
+    X = sample_covariates(model.covariates, 5000, seed=4)
+    votes = sample_majority_votes(model, X, seed=4, trial=2)
+    assert votes.shape == (5000, 1) and votes.dtype == np.int8
+    assert votes.flags.c_contiguous
+    assert votes.tobytes() == sample_majority_votes(model, X, seed=4, trial=2).tobytes()
+    assert votes.tobytes() != sample_majority_votes(model, X, seed=4, trial=3).tobytes()
+    # one uniform per row from the "votes" stream against P(vote = +1), so
+    # the draw reads neither the "labels" nor the "tiebreak" stream
+    plus = binom_tail_transform(link_eval(logistic_link(), X @ model.theta_star), 4)
+    ref = np.where(stream_rng(4, 2, "votes").random(5000) < plus, 1, -1)
+    assert votes[:, 0].tolist() == ref.tolist()

@@ -215,7 +215,7 @@ def test_scaling_study_equals_per_m_run_experiment(base, m_values):
 
 def test_scaling_study_raises_for_the_first_m_over_the_cap():
     # majority labels sharpen with m, so small-n trials turn separable: at
-    # seed 3, m = 16 excludes 3/10 trials and m = 64 8/10. The study raises
+    # seed 3, m = 16 excludes 4/10 trials and m = 64 7/10. The study raises
     # after all trials have run, for the same m and with the same message
     # as the per-m runs, which stop at m = 16
     base = _config(n=40, trials=10, t_star=3.0, seed=3, estimator="majority")
@@ -225,4 +225,4 @@ def test_scaling_study_raises_for_the_first_m_over_the_cap():
     with pytest.raises(TooFewIncludedTrials) as study:
         scaling_study(base, m_values)
     assert str(study.value) == str(per_m.value)
-    assert str(study.value).startswith("3/10 trials excluded")
+    assert str(study.value).startswith("4/10 trials excluded")

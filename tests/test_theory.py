@@ -461,6 +461,18 @@ def test_binom_tails_match_binomial_distribution():
         assert np.allclose(got[1], minus, rtol=1e-13, atol=0), m
 
 
+def test_binom_pmf_matches_scipy_stats():
+    # the log-space pmf that the Poisson-binomial vote tails convolve,
+    # against scipy.stats, with the same exact zeros at p = 0 and p = 1
+    p = np.concatenate([[0.0, 1.0, 0.5, 1e-12, 1.0 - 1e-12],
+                        np.random.default_rng(0).random(500) ** 4])
+    for c in (1, 2, 3, 16, 64, 512):
+        got = theory._binom_pmf(c, p)
+        ref = stats.binom.pmf(np.arange(c + 1), c, p[:, None])
+        assert np.array_equal(got == 0, ref == 0), c
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-300), c
+
+
 # ------------------------- impossibility construction ----------------------
 
 
