@@ -18,7 +18,7 @@ from .links import (
     group_links,
     link_eval,
 )
-from .theory import _link_probs, _vote_plus
+from .theory import _binom_tail, _link_probs
 
 __all__ = [
     "stream_rng",
@@ -92,20 +92,30 @@ def sample_majority_votes(model: ModelSpec, X: np.ndarray, seed: int,
     """Draw each row's tie-broken majority vote of the model's m labelers
     from its exact law, without drawing the labels.
 
-    Given X, the vote is +1 with probability P(vote = +1 | <theta*, x_i>):
-    I_p(h, h) with h = ceil(m / 2) when every labeler shares one link, and
-    the Poisson-binomial tail over the link groups otherwise, an exact tie
-    counting half (``theory._vote_plus``, the law the theory integrates).
-    Each distinct link is evaluated once, and one uniform per row from the
-    ``"votes"`` stream decides the vote. The result is a C-contiguous int8
-    n x 1 column of +-1. It has the law of ``majority_vote_matrix`` of
-    ``sample_labels``, not its draws, and takes n uniforms instead of n m.
+    Each distinct link is evaluated once, and every draw comes from the
+    ``"votes"`` stream. When every labeler shares one link, one uniform per
+    row is compared with P(vote = +1 | <theta*, x_i>) = I_p(h, h), h =
+    ceil(m / 2) (``theory._binom_tail``, the law the theory integrates);
+    up to m = 64 that costs less than a binomial draw per row. With G link
+    groups the row's count of +1 votes is drawn as one binomial
+    per group, and an exact tie is broken by a fair coin: O(n G), where the
+    Poisson-binomial tail would cost O(n m^2). The result is a C-contiguous
+    int8 n x 1 column of +-1. It has the law of ``majority_vote_matrix`` of
+    ``sample_labels``, not its draws, and never builds the n x m labels.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[1] != model.d:
         raise ValueError("covariate dimension mismatch")
-    plus = _vote_plus(*_link_probs(model.links, X @ model.theta_star))
-    positive = stream_rng(seed, trial, "votes").random(X.shape[0]) < plus
+    probs, counts = _link_probs(model.links, X @ model.theta_star)
+    rng = stream_rng(seed, trial, "votes")
+    if counts.size == 1:
+        positive = rng.random(X.shape[0]) < _binom_tail(probs[0], model.m)
+    else:
+        # twice the +1 count minus m
+        margin = 2 * sum(rng.binomial(c, p) for p, c in zip(probs, counts)) - model.m
+        positive = margin > 0
+        tied = margin == 0
+        positive[tied] = rng.random(int(tied.sum())) < 0.5
     # True/False as int8 1/0, mapped to +1/-1 in place
     votes = positive.view(np.int8)[:, None]
     votes *= 2

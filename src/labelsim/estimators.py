@@ -124,7 +124,6 @@ class LossSpec:
     model_link: LinkSpec = field(default_factory=logistic_link)
     links: tuple[LinkSpec, ...] | None = None
     tie_seed: int = 0
-    tie_trial: int = 0
 
     def __post_init__(self):
         if self.mode in _PER_LABELER_MODES:
@@ -236,7 +235,7 @@ def _reduce(spec: LossSpec, dataset: MultiLabelDataset) -> _CountKernel:
     once per link group."""
     Y = dataset.Y
     if spec.mode is LossMode.MAJORITY_VOTE:
-        ybar = majority_vote_matrix(Y, spec.tie_seed, spec.tie_trial)
+        ybar = majority_vote_matrix(Y, spec.tie_seed)
         return _CountKernel([(spec.model_link, 1, (ybar.astype(float) + 1.0) / 2.0)])
     positive = Y == 1
     if spec.mode is LossMode.MULTI_LABEL:

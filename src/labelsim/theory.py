@@ -304,14 +304,6 @@ def _vote_tails(probs: np.ndarray, counts: np.ndarray):
     return _poisson_binomial_majority(probs, counts)
 
 
-def _vote_plus(probs: np.ndarray, counts: np.ndarray):
-    """P(majority vote +1) at each point: the first of ``_vote_tails``,
-    without the incomplete-beta call of the second for one link group."""
-    if counts.size == 1:
-        return _binom_tail(probs[0], int(counts[0]))
-    return _poisson_binomial_majority(probs, counts)[0]
-
-
 def rho_m(t, m: int, true_links):
     """P(tie-broken majority vote = sign(t) | margin = t), in [1/2, 1].
 

@@ -156,9 +156,11 @@ def test_majority_vote_matrix_matches_rowwise():
 
 @pytest.mark.parametrize("links", [(logistic_link(),) * m for m in (1, 2, 4, 16, 64)]
                          + [(scaled_logistic_link(0.2), scaled_logistic_link(10.0)) * h
-                            for h in (2, 8)],
+                            for h in (2, 8)]
+                         + [(scaled_logistic_link(0.2), scaled_logistic_link(10.0),
+                             scaled_logistic_link(0.2))],
                          ids=[f"logistic m={m}" for m in (1, 2, 4, 16, 64)]
-                         + ["slope 0.2/10 m=4", "slope 0.2/10 m=16"])
+                         + [f"slope 0.2/10 m={m}" for m in (4, 16, 3)])
 def test_majority_votes_match_vote_law(links):
     # at each fixed margin t the vote agrees with sign(t) at the rate rho_m;
     # 4.5 standard errors keep this seeded check from failing by chance
@@ -187,3 +189,18 @@ def test_majority_votes_are_seeded_and_drawn_from_the_votes_stream():
     plus = binom_tail_transform(link_eval(logistic_link(), X @ model.theta_star), 4)
     ref = np.where(stream_rng(4, 2, "votes").random(5000) < plus, 1, -1)
     assert votes[:, 0].tolist() == ref.tolist()
+    # mixed links: one binomial count per link group, then a coin per tie
+    mixed = ModelSpec(theta_star=model.theta_star, covariates=model.covariates,
+                      links=(scaled_logistic_link(0.2), scaled_logistic_link(10.0)) * 2)
+    votes = sample_majority_votes(mixed, X, seed=4, trial=2)
+    assert votes.shape == (5000, 1) and votes.dtype == np.int8
+    assert votes.flags.c_contiguous
+    assert votes.tobytes() == sample_majority_votes(mixed, X, seed=4, trial=2).tobytes()
+    rng = stream_rng(4, 2, "votes")
+    s = X @ model.theta_star
+    margin = (2 * (rng.binomial(2, link_eval(scaled_logistic_link(0.2), s))
+                   + rng.binomial(2, link_eval(scaled_logistic_link(10.0), s))) - 4)
+    tied = margin == 0
+    assert 0 < tied.sum() < 5000
+    margin[tied] = np.where(rng.random(int(tied.sum())) < 0.5, 1, -1)
+    assert votes[:, 0].tolist() == np.sign(margin).tolist()

@@ -73,7 +73,7 @@ def _reference_kernel(spec, Y, u):
         if spec.mode is LossMode.MULTI_LABEL:
             k, M = (Y == 1).sum(axis=1).astype(float), float(m)
         else:
-            ybar = majority_vote_matrix(Y, spec.tie_seed, spec.tie_trial)
+            ybar = majority_vote_matrix(Y, spec.tie_seed)
             k, M = (ybar + 1.0) / 2.0, 1.0
         link, scale = spec.model_link, n * M
         loss = (k * link_antiderivative(link, -u)
