@@ -247,8 +247,12 @@ def _binom_tail(p, m: int):
     probability p, exact ties broken by a fair coin. With h = ceil(m / 2),
     it is P(Binomial(2h - 1, p) >= h) = I_p(h, h), the regularized
     incomplete beta function (for even m a tie is a fair coin, so the vote
-    is that of m - 1 votes)."""
+    is that of m - 1 votes). At h = 1 (m = 1, 2) it is p itself: adding 0.0
+    copies p and maps -0.0 to 0.0, bit for bit what betainc returns on
+    [0, 1], at a fraction of its cost."""
     h = (m + 1) // 2
+    if h == 1:
+        return np.asarray(p, dtype=float) + 0.0
     return special.betainc(h, h, p)
 
 

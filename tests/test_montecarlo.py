@@ -1,4 +1,10 @@
 import dataclasses
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +232,41 @@ def test_scaling_study_raises_for_the_first_m_over_the_cap():
         scaling_study(base, m_values)
     assert str(study.value) == str(per_m.value)
     assert str(study.value).startswith("4/10 trials excluded")
+
+
+_FAULT_PROBE = """
+import json, resource
+import numpy as np
+from labelsim import (ExperimentConfig, ModelSpec, isotropic_gaussian,
+                      logistic_link, scaling_study)
+model = ModelSpec(theta_star=np.array([2.0, 0.0, 0.0, 0.0, 0.0]),
+                  links=(logistic_link(),), covariates=isotropic_gaussian(5))
+base = ExperimentConfig(model=model, estimator="majority", n=20_000,
+                        trials=2, seed=3)
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    scaling_study(base, [1, 4])
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the engine pins malloc thresholds through glibc's "
+                           "mallopt; this C library is not glibc")
+def test_rerun_keeps_the_heap_resident():
+    # A majority study's freed fit and vote temporaries must stay in the
+    # heap: with glibc's dynamic thresholds a rerun took about 2300 minor
+    # page faults, faulting them back in after every trial. A fresh
+    # interpreter, so no earlier test has set the thresholds already.
+    src = str(Path(montecarlo.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=src)
+    for var in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
+        env.pop(var, None)
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    first, rerun = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert rerun <= 100, (first, rerun)

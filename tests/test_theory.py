@@ -461,6 +461,23 @@ def test_binom_tails_match_binomial_distribution():
         assert np.allclose(got[1], minus, rtol=1e-13, atol=0), m
 
 
+def test_binom_tail_at_one_vote_pair_is_betainc_bit_for_bit():
+    # h = 1 (m = 1, 2) skips betainc: I_p(1, 1) = p, with the same bits on
+    # [0, 1], signed zero and subnormals included, in a fresh array
+    p = np.concatenate([[0.0, -0.0, 1.0, 5e-324, 1e-310, 2.2e-308,
+                         np.nextafter(1.0, 0.0), 0.5],
+                        np.random.default_rng(0).random(10_000)])
+    want = special.betainc(1, 1, p)
+    for m in (1, 2):
+        got = theory._binom_tail(p, m)
+        assert got is not p
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), m
+        minus = theory._binom_tails(p, m)[1]
+        assert np.array_equal(minus.view(np.int64),
+                              special.betainc(1, 1, 1.0 - p).view(np.int64))
+
+
 def test_binom_pmf_matches_scipy_stats():
     # the log-space pmf that the Poisson-binomial vote tails convolve,
     # against scipy.stats, with the same exact zeros at p = 0 and p = 1
