@@ -18,7 +18,7 @@ from .links import (
     group_links,
     link_eval,
 )
-from .theory import _binom_tail, _link_probs
+from .theory import _link_probs
 
 __all__ = [
     "stream_rng",
@@ -93,11 +93,13 @@ def sample_majority_votes(model: ModelSpec, X: np.ndarray, seed: int,
     from its exact law, without drawing the labels.
 
     Each distinct link is evaluated once, and every draw comes from the
-    ``"votes"`` stream. When every labeler shares one link, one uniform per
-    row is compared with P(vote = +1 | <theta*, x_i>) = I_p(h, h), h =
-    ceil(m / 2) (``theory._binom_tail``, the law the theory integrates);
-    up to m = 64 that costs less than a binomial draw per row. With G link
-    groups the row's count of +1 votes is drawn as one binomial
+    ``"votes"`` stream. When every labeler shares one link with p = P(label
+    = +1 | <theta*, x_i>), the vote is +1 with probability I_p(h, h), h =
+    ceil(m / 2) (``theory._binom_tail``, the law the theory integrates).
+    That is P(B < p) for B ~ Beta(h, h), so one beta draw per row is
+    compared with p, at a cost that does not grow with m; at h = 1 (m = 1,
+    2) the law is p itself, and one uniform per row is compared with p.
+    With G link groups the row's count of +1 votes is drawn as one binomial
     per group, and an exact tie is broken by a fair coin: O(n G), where the
     Poisson-binomial tail would cost O(n m^2). The result is a C-contiguous
     int8 n x 1 column of +-1. It has the law of ``majority_vote_matrix`` of
@@ -109,7 +111,9 @@ def sample_majority_votes(model: ModelSpec, X: np.ndarray, seed: int,
     probs, counts = _link_probs(model.links, X @ model.theta_star)
     rng = stream_rng(seed, trial, "votes")
     if counts.size == 1:
-        positive = rng.random(X.shape[0]) < _binom_tail(probs[0], model.m)
+        h = (model.m + 1) // 2
+        draws = rng.random(X.shape[0]) if h == 1 else rng.beta(h, h, X.shape[0])
+        positive = draws < probs[0]
     else:
         # twice the +1 count minus m
         margin = 2 * sum(rng.binomial(c, p) for p, c in zip(probs, counts)) - model.m

@@ -23,28 +23,32 @@ sum_g M_g v_g. Any other group keeps the two-sided form, evaluated at u and
 -u. A kernel call, ``kernel(u) -> (loss, c, w)``, evaluates each link once
 per side through ``links.link_terms`` (S, sigma and sigma' together).
 
-``fit`` reduces the labels to a kernel once, then runs one damped Newton
-loop (``_newton``; each Hessian is one matrix product with a contiguous
-copy of X^T) until the gradient norm reaches ``GRAD_TOL``, theta diverges,
-no step decreases the loss, ``max_iters`` runs out, or the Newton decrement
-lambda^2 = g^T H^{-1} g falls to the loss's round-off (Boyd & Vandenberghe,
-Convex Optimization, 9.5.1). In the last case it takes the full Newton
-step, whose decrease a line search cannot resolve. A fit converged when it
-stopped on ``GRAD_TOL`` or on the decrement.
+``fit`` reduces the labels to a kernel once and makes one C-contiguous
+d x n copy XT of X^T, on which the margins theta XT, the gradient XT c and
+the Hessian (``_hessian``) all run along the long n axis. It then runs one
+damped Newton loop (``_newton``) until the gradient norm reaches
+``GRAD_TOL``, theta diverges, no step decreases the loss, ``max_iters``
+runs out, or the Newton decrement lambda^2 = g^T H^{-1} g falls to the
+loss's round-off (Boyd & Vandenberghe, Convex Optimization, 9.5.1). In the
+last case it takes the full Newton step, whose decrease a line search
+cannot resolve. A fit converged when it stopped on ``GRAD_TOL`` or on the
+decrement.
 
 Without a start ``theta0``, a fit on at least ``WARM_MIN_ROWS`` rows first
 runs the same loop on every ``WARM_STRIDE``-th row, the kernel's counts
-sliced (``_CountKernel.rows``), to the loose ``WARM_GRAD_TOL``. Newton
-converges quadratically near the optimum (9.5.3), so from the subsample's
-optimum the full-data loop needs 3-4 iterations instead of 6-10 from zero.
-A subsample fit that ends separable, diverged or unconverged is dropped and
-the full-data loop starts from zero. The full-data loop alone decides the
-result, so every fit meets the same stopping rule on all n rows.
+(``_CountKernel.rows``) and XT's columns sliced, to the loose
+``WARM_GRAD_TOL``. Newton converges quadratically near the optimum
+(9.5.3), so from the subsample's optimum the full-data loop needs 3-4
+iterations instead of 6-10 from zero. A subsample fit that ends separable,
+diverged or unconverged is dropped and the full-data loop starts from
+zero. The full-data loop alone decides the result, so every fit meets
+the same stopping rule on all n rows.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -247,66 +251,74 @@ def _reduce(spec: LossSpec, dataset: MultiLabelDataset) -> _CountKernel:
                          for g, link in enumerate(distinct)])
 
 
-def _kernel_and_margins(spec: LossSpec, theta, dataset: MultiLabelDataset):
+def _kernel_and_design(spec: LossSpec, theta, dataset: MultiLabelDataset):
+    """The kernel of ``spec`` on ``dataset``, the contiguous copy XT of X^T
+    and the margins theta XT."""
     theta = np.asarray(theta, dtype=float)
     _check_dims(spec, theta, dataset)
-    return _reduce(spec, dataset), dataset.X @ theta
+    XT = np.ascontiguousarray(dataset.X.T)
+    return _reduce(spec, dataset), XT, theta @ XT
 
 
 def loss_value(spec: LossSpec, theta, dataset: MultiLabelDataset) -> float:
-    kernel, u = _kernel_and_margins(spec, theta, dataset)
+    kernel, _, u = _kernel_and_design(spec, theta, dataset)
     return kernel(u)[0]
 
 
 def loss_gradient(spec: LossSpec, theta, dataset: MultiLabelDataset) -> np.ndarray:
-    kernel, u = _kernel_and_margins(spec, theta, dataset)
-    return dataset.X.T @ kernel(u)[1]
+    kernel, XT, u = _kernel_and_design(spec, theta, dataset)
+    return XT @ kernel(u)[1]
 
 
 def loss_hessian(spec: LossSpec, theta, dataset: MultiLabelDataset) -> np.ndarray:
-    kernel, u = _kernel_and_margins(spec, theta, dataset)
-    X = dataset.X
-    return _hessian(X, np.ascontiguousarray(X.T), kernel(u)[2])
+    kernel, XT, u = _kernel_and_design(spec, theta, dataset)
+    return _hessian(XT, kernel(u)[2])
 
 
-def _hessian(X: np.ndarray, XT: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X^T diag(w) X, given XT, a C-contiguous copy of X^T. Scaling the
-    rows of XT runs along its long contiguous axis, unlike w[:, None] * X,
-    whose inner axis has length d; the product is the same bit for bit."""
-    return X.T @ (XT * w).T
+def _hessian(XT: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X^T diag(w) X, given XT, a C-contiguous copy of X^T: scaling its
+    rows and the product both run along the long contiguous n axis, where
+    w[:, None] * X has an inner axis of length d. It equals the broadcast
+    form X^T (w[:, None] * X) to round-off, not bit for bit."""
+    return (XT * w) @ XT.T
+
+
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm of a 1-D float vector, bit for bit, without its checks
+    return math.sqrt(v @ v)
 
 
 def _separable(kernel: _CountKernel, theta, u) -> bool:
     """theta diverged, or is large and separates every training label: the
     loss has no finite minimizer."""
-    norm = np.linalg.norm(theta)
+    norm = _norm(theta)
     return bool(norm > DIVERGENCE_THRESHOLD
                 or (norm >= 10.0 and kernel.separated(u)))
 
 
-def _newton(kernel: _CountKernel, X: np.ndarray, theta: np.ndarray,
+def _newton(kernel: _CountKernel, XT: np.ndarray, theta: np.ndarray,
             grad_tol: float, max_iters: int):
-    """Damped Newton with backtracking on ``kernel`` over the rows of X,
-    from theta. Returns (theta, u = X theta, ||grad||, iterations, stop),
-    stop the reason it stopped (``FitResult.stop_reason``)."""
-    XT = np.ascontiguousarray(X.T)
-    u = X @ theta
+    """Damped Newton with backtracking on ``kernel`` over the columns of XT,
+    a C-contiguous d x n copy of X^T, from theta. Returns (theta, u = theta
+    XT, ||grad||, iterations, stop), stop the reason it stopped
+    (``FitResult.stop_reason``)."""
+    u = theta @ XT
     loss, coef, w = kernel(u)
-    g = X.T @ coef
+    g = XT @ coef
     del coef
-    gnorm = float(np.linalg.norm(g))
+    gnorm = _norm(g)
     iterations = 0
     while True:
         if gnorm <= grad_tol:
             stop = "grad_tol"
             break
-        if np.linalg.norm(theta) > DIVERGENCE_THRESHOLD:
+        if _norm(theta) > DIVERGENCE_THRESHOLD:
             stop = "diverged"
             break
         if iterations >= max_iters:
             stop = "max_iters"
             break
-        H = _hessian(X, XT, w)
+        H = _hessian(XT, w)
         # freed before the candidates allocate theirs (peak memory); the
         # line search binds each candidate's weights to w
         del w
@@ -325,9 +337,9 @@ def _newton(kernel: _CountKernel, X: np.ndarray, theta: np.ndarray,
         eta = 1.0
         for _ in range(60):
             cand = theta + eta * step
-            cand_u = X @ cand
+            cand_u = cand @ XT
             cand_loss, coef, w = kernel(cand_u)
-            cand_g = X.T @ coef
+            cand_g = XT @ coef
             del coef
             if last or cand_loss <= loss + 1e-4 * eta * slope:
                 break
@@ -336,7 +348,7 @@ def _newton(kernel: _CountKernel, X: np.ndarray, theta: np.ndarray,
             stop = "no_descent"
             break
         theta, u, loss, g = cand, cand_u, cand_loss, cand_g
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         iterations += 1
         if last:
             stop = "decrement"
@@ -363,16 +375,16 @@ def fit(spec: LossSpec, dataset: MultiLabelDataset,
         raise ValueError("dataset is empty")
     theta = np.zeros(dataset.d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     _check_dims(spec, theta, dataset)
-    kernel, X = _reduce(spec, dataset), dataset.X
+    kernel, XT = _reduce(spec, dataset), np.ascontiguousarray(dataset.X.T)
     warm_iterations = 0
     if theta0 is None and dataset.n >= WARM_MIN_ROWS:
-        rows = slice(None, None, WARM_STRIDE)
-        sub = kernel.rows(rows)
+        sub = kernel.rows(slice(None, None, WARM_STRIDE))
         start, sub_u, _, warm_iterations, stop = _newton(
-            sub, X[rows], theta, WARM_GRAD_TOL, opts.max_iters)
+            sub, np.ascontiguousarray(XT[:, ::WARM_STRIDE]), theta,
+            WARM_GRAD_TOL, opts.max_iters)
         if stop in CONVERGED_STOPS and not _separable(sub, start, sub_u):
             theta = start
-    theta, u, gnorm, iterations, stop = _newton(kernel, X, theta, GRAD_TOL,
+    theta, u, gnorm, iterations, stop = _newton(kernel, XT, theta, GRAD_TOL,
                                                 opts.max_iters)
     separable = _separable(kernel, theta, u)
     converged = not separable and stop in CONVERGED_STOPS

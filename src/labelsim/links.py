@@ -165,6 +165,17 @@ class _UniformTable:
         out[above] = self.cum[-1] + self.values[-1] * (x[above] - self.hi)
         return out
 
+    def _clipped_value(self, t: np.ndarray, j: np.ndarray):
+        # (t clipped to the grid, sigma(t)) given j = bins(t), which becomes
+        # the bin of the clipped t in place
+        inside = np.clip(t, self.lo, self.hi)
+        np.maximum(j, 0, out=j)
+        return inside, self._value(inside, j)
+
+    def value(self, t: np.ndarray) -> np.ndarray:
+        """sigma(t) alone, bit for bit the sigma of ``terms``."""
+        return self._clipped_value(t, self.bins(t))[1]
+
     def terms(self, t: np.ndarray):
         """(S(t), sigma(t), sigma'(t)) from one bin lookup: S is the
         integral of sigma from 0, sigma is np.interp(t, grid, values) and
@@ -172,10 +183,7 @@ class _UniformTable:
         the grid."""
         j = self.bins(t)
         deriv = self.slopes[j]  # bin -1 (below the grid) has slope 0
-        inside = np.clip(t, self.lo, self.hi)
-        # the bin of t clipped to the grid
-        np.maximum(j, 0, out=j)
-        value = self._value(inside, j)
+        inside, value = self._clipped_value(t, j)
         np.minimum(j, self.last - 1, out=j)
         anti = self._integral(t, inside, j)
         anti -= self.s0
@@ -233,8 +241,8 @@ def group_links(links) -> tuple[list[LinkSpec], np.ndarray]:
 
 
 def link_eval(link: LinkSpec, t):
-    """sigma(t), the second output of ``link_terms``; vectorized, returns
-    values in [0, 1]."""
+    """sigma(t), bit for bit the second output of ``link_terms`` but
+    computed without S and sigma'; vectorized, returns values in [0, 1]."""
     return _term(link, t, 1)
 
 
@@ -256,9 +264,16 @@ def link_antiderivative(link: LinkSpec, t):
 
 
 def _term(link: LinkSpec, t, k: int):
-    # output k of link_terms; a scalar t gives a float
+    # output k of link_terms, sigma (k = 1) by its own step; a scalar t
+    # gives a float
     scalar = np.isscalar(t)
-    out = link_terms(link, np.atleast_1d(np.asarray(t, dtype=float)))[k]
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if k != 1:
+        out = link_terms(link, t)[k]
+    elif link.family is LinkFamily.TABULATED_MONOTONE:
+        out = link._table.value(t)
+    else:
+        out = _logistic_sigma(link.alpha, t)[3]
     return float(out[0]) if scalar else out
 
 
@@ -282,9 +297,8 @@ def link_terms(link: LinkSpec, t: np.ndarray):
     return _logistic_terms(link, t)
 
 
-def _logistic_terms(link: LinkSpec, t: np.ndarray):
-    # in-place steps keep the live n-vectors few
-    alpha = link.alpha
+def _logistic_sigma(alpha: float, t: np.ndarray):
+    # (alpha t, e, 1 + e, sigma(t)), the sigma step of _logistic_terms
     at = alpha * t
     e = np.abs(at)
     np.negative(e, out=e)
@@ -294,6 +308,13 @@ def _logistic_terms(link: LinkSpec, t: np.ndarray):
     # the maximum is that choice without a branch per element
     value = np.maximum(e, at >= 0)
     value /= d
+    return at, e, d, value
+
+
+def _logistic_terms(link: LinkSpec, t: np.ndarray):
+    # in-place steps keep the live n-vectors few
+    alpha = link.alpha
+    at, e, d, value = _logistic_sigma(alpha, t)
     anti = np.maximum(at, 0.0, out=at)
     deriv = np.multiply(d, d, out=d)
     np.divide(e, deriv, out=deriv)
@@ -486,7 +507,7 @@ class TheoryPrediction:
     change between the same quadrature panels at two orders, plus rounding
     and, for t_m, the root finder's tolerance. ``root_iterations`` counts
     the bracket expansions and Brent iterations of the t_m solve, which
-    every kind runs.
+    every kind runs (one iteration when a bracket end is an exact root).
     """
 
     kind: str

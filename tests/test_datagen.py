@@ -4,7 +4,6 @@ import pytest
 from labelsim import (
     ModelSpec,
     beta_regular,
-    binom_tail_transform,
     isotropic_gaussian,
     link_eval,
     logistic_link,
@@ -184,10 +183,11 @@ def test_majority_votes_are_seeded_and_drawn_from_the_votes_stream():
     assert votes.flags.c_contiguous
     assert votes.tobytes() == sample_majority_votes(model, X, seed=4, trial=2).tobytes()
     assert votes.tobytes() != sample_majority_votes(model, X, seed=4, trial=3).tobytes()
-    # one uniform per row from the "votes" stream against P(vote = +1), so
-    # the draw reads neither the "labels" nor the "tiebreak" stream
-    plus = binom_tail_transform(link_eval(logistic_link(), X @ model.theta_star), 4)
-    ref = np.where(stream_rng(4, 2, "votes").random(5000) < plus, 1, -1)
+    # one Beta(h, h) draw per row (h = 2) from the "votes" stream against
+    # p, as P(B < p) = I_p(h, h) = P(vote = +1); the draw reads neither the
+    # "labels" nor the "tiebreak" stream
+    p = link_eval(logistic_link(), X @ model.theta_star)
+    ref = np.where(stream_rng(4, 2, "votes").beta(2, 2, 5000) < p, 1, -1)
     assert votes[:, 0].tolist() == ref.tolist()
     # mixed links: one binomial count per link group, then a coin per tie
     mixed = ModelSpec(theta_star=model.theta_star, covariates=model.covariates,

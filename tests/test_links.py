@@ -233,17 +233,23 @@ def _where_logistic_terms(alpha, t):
 
 def test_logistic_terms_are_bit_identical_to_where_formula():
     # np.maximum(e, alpha t >= 0) in place of np.where: 0 <= e <= 1, so
-    # the two agree bit for bit, signed zeros and NaN included
+    # the two agree bit for bit, signed zeros and NaN included; link_eval
+    # computes sigma alone, with the same bits as link_terms
     rng = np.random.default_rng(4)
     t = np.concatenate([
         [np.nan, 0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e308, -1e308],
         rng.standard_normal(500) * 10.0 ** rng.uniform(-8, 3, 500)])
     for alpha in (0.1, 1.0, 50.0):
+        link = scaled_logistic_link(alpha)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _logistic_terms(scaled_logistic_link(alpha), t)
+            got = _logistic_terms(link, t)
             want = _where_logistic_terms(alpha, t)
+            value = link_eval(link, t)
+            scalars = [link_eval(link, x) for x in t[:9]]
         for g, w in zip(got, want):
             assert np.array_equal(_bits(g), _bits(w)), alpha
+        assert np.array_equal(_bits(value), _bits(got[1])), alpha
+        assert np.array_equal(_bits(np.array(scalars)), _bits(got[1][:9])), alpha
 
 
 def test_tabulated_grid_must_be_uniform():
