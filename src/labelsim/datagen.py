@@ -128,13 +128,12 @@ def sample_majority_votes(model: ModelSpec, X: np.ndarray, seed: int,
 
 
 def majority_vote_matrix(Y: np.ndarray, seed: int, trial: int = 0) -> np.ndarray:
-    """Row-wise majority labels for an n x m label matrix; one coin per tied
-    row from the ``"tiebreak"`` stream. This is the majority-vote estimator's
-    reduction of observed labels; Monte Carlo trials draw the votes directly
-    (``sample_majority_votes``)."""
-    Y = np.asarray(Y)
-    sums = Y.sum(axis=1)
-    out = np.sign(sums).astype(np.int8)
+    """Row-wise majority labels of an n x m label matrix as an int8 n x 1
+    column of +-1, the format ``sample_majority_votes`` draws; one coin per
+    tied row from the ``"tiebreak"`` stream. The majority-vote estimator on
+    observed labels fits this column with the pooled loss."""
+    sums = np.asarray(Y).sum(axis=1)
+    out = np.sign(sums).astype(np.int8)[:, None]
     ties = out == 0
     if np.any(ties):
         rng = stream_rng(seed, trial, "tiebreak")

@@ -2,14 +2,15 @@
 
 The per-sample loss is l_{sigma,theta}(y | x) = -int_0^{y<theta,x>} sigma(-v) dv,
 which specializes to the logistic loss (up to an additive constant) for the
-logistic link. Every ``LossMode`` counts its labels once, per link group,
-into one kernel over the margins u = X theta: group g has M_g labels per row
-under one link, k_g of them +1. MultiLabel is one group, the model link with
-M = m; MajorityVote one group with M = 1 and k the row's majority label
-(seeded fair tie-break) as 0 or 1; PerLabeler and CrowdScaled one group per
-distinct link, the semiparametric refit's fitted links or the crowd
-plug-in's scaled-logistic links sigma(t) = 1/(1 + exp(-alpha_j t)) at the
-estimated reliabilities (alpha = 1 gives the plain multi-label loss).
+logistic link. There are two losses. A ``LossSpec`` without ``links`` is
+the pooled loss under its model link: multi-label ERM on the n x m labels,
+or majority-vote ERM on the n x 1 vote column (``majority_vote_matrix(Y,
+seed)`` of observed labels; Monte Carlo trials draw the votes). One with
+``links`` is the per-labeler loss: the semiparametric refit's fitted links,
+or the crowd plug-in's scaled-logistic links sigma(t) = 1/(1 + exp(-alpha_j
+t)) at the estimated reliabilities. Each counts its labels once, per link
+group, into one kernel over the margins u = X theta: group g has M_g labels
+per row under one link, k_g of them +1; the pooled loss is one group, M = m.
 
 Row i of group g costs k_g S_g(-u_i) + (M_g - k_g) S_g(u_i), S the link
 antiderivative. A symmetric link has S(-u) = S(u) - u, sigma(-u) =
@@ -55,7 +56,9 @@ from functools import partial
 
 import numpy as np
 
-from .datagen import majority_vote_matrix
+# unused here; the benchmark tracer (perfbench/tracing.py) patches
+# estimators.majority_vote_matrix, and ``--trace 1`` fails without the name
+from .datagen import majority_vote_matrix  # noqa: F401
 from .links import (
     FitResult,
     LinkFamily,
@@ -109,31 +112,29 @@ class DimensionMismatch(ValueError):
     pass
 
 
+# Read only by the benchmark tracer (perfbench/tracing.py: fit_before keys
+# FIT_MODES by spec.mode.value); a LossSpec's loss is set by its links alone.
 class LossMode(Enum):
     MULTI_LABEL = "multilabel"
-    MAJORITY_VOTE = "majority"
     PER_LABELER = "per-labeler"
-    # the same loss as PER_LABELER; a mode of its own only so that the
-    # benchmark tracer (perfbench/tracing.py, FIT_MODES) can count crowd fits
-    # apart from semiparametric refits
-    CROWD_SCALED = "crowd-scaled"
-
-
-_PER_LABELER_MODES = (LossMode.PER_LABELER, LossMode.CROWD_SCALED)
 
 
 @dataclass(frozen=True)
 class LossSpec:
-    mode: LossMode
+    """The pooled loss under model_link, or the per-labeler loss (links)."""
+
     model_link: LinkSpec = field(default_factory=logistic_link)
     links: tuple[LinkSpec, ...] | None = None
-    tie_seed: int = 0
 
     def __post_init__(self):
-        if self.mode in _PER_LABELER_MODES:
+        if self.links is not None:
             if not self.links:
-                raise ValueError(f"{self.mode.value} mode needs a link per labeler")
+                raise ValueError("a per-labeler loss needs a link per labeler")
             object.__setattr__(self, "links", tuple(self.links))
+
+    @property
+    def mode(self) -> LossMode:
+        return LossMode.MULTI_LABEL if self.links is None else LossMode.PER_LABELER
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,8 @@ class _CountKernel:
 
     def rows(self, index: slice) -> _CountKernel:
         """This kernel on the rows ``index`` of its data: the count vectors
-        sliced (and copied contiguous), so that every label, majority vote
-        and link group stays that of the full data."""
+        sliced (and copied contiguous), so that every label count and link
+        group stays that of the full data."""
         def take(a):
             return np.ascontiguousarray(a[index])
 
@@ -230,19 +231,15 @@ def _check_dims(spec: LossSpec, theta: np.ndarray, dataset: MultiLabelDataset):
     if theta.shape != (dataset.d,):
         raise DimensionMismatch(
             f"theta has shape {theta.shape}, expected ({dataset.d},)")
-    if spec.mode in _PER_LABELER_MODES and len(spec.links) != dataset.m:
+    if spec.links is not None and len(spec.links) != dataset.m:
         raise DimensionMismatch("need one link per labeler column")
 
 
 def _reduce(spec: LossSpec, dataset: MultiLabelDataset) -> _CountKernel:
     """The loss kernel of ``spec`` on ``dataset``, with the labels counted
     once per link group."""
-    Y = dataset.Y
-    if spec.mode is LossMode.MAJORITY_VOTE:
-        ybar = majority_vote_matrix(Y, spec.tie_seed)
-        return _CountKernel([(spec.model_link, 1, (ybar.astype(float) + 1.0) / 2.0)])
-    positive = Y == 1
-    if spec.mode is LossMode.MULTI_LABEL:
+    positive = dataset.Y == 1
+    if spec.links is None:
         return _CountKernel([(spec.model_link, dataset.m,
                               positive.sum(axis=1).astype(float))])
     distinct, index = group_links(spec.links)

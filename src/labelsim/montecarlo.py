@@ -16,7 +16,7 @@ from .datagen import (
     sample_labels,
     sample_majority_votes,
 )
-from .estimators import LossMode, LossSpec, NonConvergence, fit
+from .estimators import LossSpec, NonConvergence, fit
 from .links import (
     LinkSpec,
     ModelSpec,
@@ -113,13 +113,9 @@ def _fit_trial(config: ExperimentConfig, trial: int, ds: MultiLabelDataset):
     """Fit one trial's dataset; returns (u_hat, flag, n_eff)."""
     model = config.model
     try:
-        if config.estimator == "multilabel":
-            res = fit(LossSpec(mode=LossMode.MULTI_LABEL,
-                               model_link=config.model_link), ds)
-            n_eff = config.n
-        elif config.estimator == "majority":
-            res = fit(LossSpec(mode=LossMode.MAJORITY_VOTE,
-                               model_link=config.model_link), ds)
+        if config.estimator in ("multilabel", "majority"):
+            # a majority trial's labels are its n x 1 vote column (_draw)
+            res = fit(LossSpec(model_link=config.model_link), ds)
             n_eff = config.n
         elif config.estimator == "semiparam":
             sp = semiparametric_fit(ds, config.split_fraction, config.isotonic)

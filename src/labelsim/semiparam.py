@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import LossMode, LossSpec, fit
+from .estimators import LossSpec, fit
 from .links import (
     FitResult,
     LinkSpec,
@@ -311,11 +311,11 @@ def semiparametric_fit(dataset: MultiLabelDataset, split_fraction: float = 0.1,
     """Two-stage fit: direction + links on the first split_fraction of rows,
     per-labeler-link ERM refit on the remainder (``split_stages``)."""
     ds1, ds2 = split_stages(dataset, split_fraction)
-    init = fit(LossSpec(mode=LossMode.MULTI_LABEL), ds1)
+    init = fit(LossSpec(), ds1)
     u_init = init.u_hat
     links, diag = fit_links_with_diagnostics(u_init, ds1, opts)
 
-    refit_spec = LossSpec(mode=LossMode.PER_LABELER, links=tuple(links))
+    refit_spec = LossSpec(links=tuple(links))
     result = fit(refit_spec, ds2, theta0=u_init)
     return SemiparametricResult(fit=result, links=tuple(links),
                                 stage1_index=np.arange(ds1.n),
@@ -329,7 +329,7 @@ def crowdsourced_fit(dataset: MultiLabelDataset, alpha_estimate) -> FitResult:
     FitResult.u_hat."""
     links = tuple(scaled_logistic_link(a)
                   for a in np.asarray(alpha_estimate, dtype=float))
-    return fit(LossSpec(mode=LossMode.CROWD_SCALED, links=links), dataset)
+    return fit(LossSpec(links=links), dataset)
 
 
 def estimate_alpha(dataset: MultiLabelDataset, u_ref) -> AlphaEstimate:
@@ -342,7 +342,7 @@ def estimate_alpha(dataset: MultiLabelDataset, u_ref) -> AlphaEstimate:
     if abs(np.linalg.norm(u_ref) - 1.0) > 1e-8:
         raise ValueError("u_ref must be a unit vector")
     margins = dataset.X @ u_ref
-    spec = LossSpec(mode=LossMode.MULTI_LABEL)
+    spec = LossSpec()
     fits = [fit(spec, MultiLabelDataset(X=margins[:, None], Y=dataset.Y[:, [j]]))
             for j in range(dataset.m)]
     raw = np.array([res.theta_hat[0] for res in fits])

@@ -504,9 +504,9 @@ class GapFunction:
 
     @cached_property
     def root(self) -> tuple[float, int]:
-        """(t_m, bracket expansions + Brent iterations); see solve_tm. When
-        the upper bracket end is an exact root, Brent's method returns it
-        at once, and that counts as one iteration."""
+        """(t_m, bracket expansions + Brent iterations); see solve_tm. An
+        upper bracket end that is an exact root (t_m = t* on symmetric
+        fixed links) is returned without Brent's method, as one iteration."""
         lo, f_lo = 0.0, gap_eval(self, 0.0)
         if f_lo >= 0.0:
             return 0.0, 0
@@ -521,12 +521,12 @@ class GapFunction:
                 raise BracketNotFound(
                     "gap function stays negative up to the bracket cap 1e6")
             f_hi = gap_eval(self, hi)
+        if f_hi == 0.0:
+            return hi, expansions + 1
         t_m, result = optimize.brentq(lambda t: gap_eval(self, t), lo, hi,
                                       xtol=ROOT_XTOL, rtol=ROOT_RTOL,
                                       full_output=True)
-        # brentq leaves its iteration count unset (stack garbage) when it
-        # returns a bracket end that is an exact root
-        return t_m, expansions + (1 if f_hi == 0.0 else result.iterations)
+        return t_m, expansions + result.iterations
 
 
 def gap_eval(g: GapFunction, t: float) -> float:

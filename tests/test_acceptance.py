@@ -14,7 +14,6 @@ import pytest
 from labelsim import (
     ExperimentConfig,
     GapFunction,
-    LossMode,
     LossSpec,
     ModelSpec,
     MultiLabelDataset,
@@ -44,7 +43,7 @@ from labelsim import (
     tabulated_link,
 )
 from labelsim.cli import main as cli_main
-from labelsim.datagen import sample_dataset
+from labelsim.datagen import majority_vote_matrix, sample_dataset
 from labelsim.montecarlo import empirical_multiplier
 
 LR = logistic_link()
@@ -95,20 +94,20 @@ def test_02_gradients_and_hessians_match_finite_differences():
     grid = np.linspace(-3, 3, 13)
     tab = tabulated_link(grid, np.clip(0.5 + 0.4 * np.tanh(grid), 0, 1))
     specs = [
-        ("multilabel", 4, LossSpec(mode=LossMode.MULTI_LABEL)),
-        ("majority", 3, LossSpec(mode=LossMode.MAJORITY_VOTE)),
-        ("per-labeler", 3, LossSpec(
-            mode=LossMode.PER_LABELER,
-            links=(tab, LR, scaled_logistic_link(0.7)))),
-        ("crowd", 3, LossSpec(mode=LossMode.CROWD_SCALED, links=tuple(
+        ("multilabel", 4, LossSpec()),
+        ("majority", 3, LossSpec()),
+        ("per-labeler", 3, LossSpec(links=(tab, LR, scaled_logistic_link(0.7)))),
+        ("crowd", 3, LossSpec(links=tuple(
             scaled_logistic_link(a) for a in (0.5, 1.0, 2.0)))),
     ]
     d, h_g, h_h = 3, 1e-6, 1e-5
     worst_g = worst_h = 0.0
-    for _, m, spec in specs:
+    for name, m, spec in specs:
         for _ in range(100):
             x = rng.standard_normal((1, d))
             y = rng.choice([-1, 1], size=(1, m))
+            if name == "majority":  # the pooled loss on the row's vote
+                y = majority_vote_matrix(y, 0)
             ds = MultiLabelDataset(X=x, Y=y)
             theta = rng.standard_normal(d)
             g = loss_gradient(spec, theta, ds)

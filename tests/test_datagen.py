@@ -129,12 +129,13 @@ def test_sample_labels_match_per_column_reference(links):
 
 def test_majority_vote_no_tie():
     out = majority_vote_matrix(np.array([[1, 1, -1], [-1, -1, 1]]), seed=0)
-    assert out.tolist() == [1, -1]
+    assert out.tolist() == [[1], [-1]]
+    assert out.dtype == np.int8 and out.flags.c_contiguous
 
 
 def test_majority_vote_tie_is_seeded_fair_coin():
     tie = np.array([[1, -1]])
-    votes = [int(majority_vote_matrix(tie, seed=s)[0]) for s in range(2000)]
+    votes = [int(majority_vote_matrix(tie, seed=s)[0, 0]) for s in range(2000)]
     assert np.array_equal(majority_vote_matrix(tie, seed=7),
                           majority_vote_matrix(tie, seed=7))
     frac = np.mean(np.array(votes) == 1)
@@ -145,6 +146,7 @@ def test_majority_vote_matrix_matches_rowwise():
     rng = np.random.default_rng(9)
     Y = rng.choice([-1, 1], size=(500, 4)).astype(np.int8)
     out = majority_vote_matrix(Y, seed=11)
+    assert out.shape == (500, 1)
     sums = Y.sum(axis=1)
     assert np.all(out[sums > 0] == 1)
     assert np.all(out[sums < 0] == -1)

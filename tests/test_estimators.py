@@ -6,7 +6,6 @@ import pytest
 
 from labelsim import (
     DimensionMismatch,
-    LossMode,
     LossSpec,
     ModelSpec,
     MultiLabelDataset,
@@ -30,7 +29,6 @@ from labelsim.estimators import (
     WARM_MIN_ROWS,
     WARM_STRIDE,
     NonConvergence,
-    _CountKernel,
     _hessian,
     _reduce,
 )
@@ -42,19 +40,26 @@ def _random_dataset(rng, n=40, d=3, m=4):
     return MultiLabelDataset(X=X, Y=Y)
 
 
-def _all_specs(m):
+def _votes(ds, seed):
+    """ds reduced to its n x 1 majority-vote column, the majority-vote
+    estimator's data."""
+    return MultiLabelDataset(X=ds.X, Y=majority_vote_matrix(ds.Y, seed))
+
+
+def _all_fits(ds):
+    """(spec, data) for every estimator on ds: multi-label, majority vote
+    (the pooled loss on the vote column), semiparametric and crowd."""
     grid = np.linspace(-3, 3, 13)
     vals = np.clip(0.5 + 0.4 * np.tanh(grid), 0.0, 1.0)
     tab = tabulated_link(grid, vals)
     return [
-        LossSpec(mode=LossMode.MULTI_LABEL),
-        LossSpec(mode=LossMode.MULTI_LABEL, model_link=scaled_logistic_link(2.0)),
-        LossSpec(mode=LossMode.MAJORITY_VOTE, tie_seed=3),
-        LossSpec(mode=LossMode.PER_LABELER,
-                 links=tuple([tab, logistic_link(), scaled_logistic_link(0.5),
-                              logistic_link()][:m])),
-        LossSpec(mode=LossMode.CROWD_SCALED,
-                 links=tuple(scaled_logistic_link(a) for a in np.linspace(0.5, 2.0, m))),
+        (LossSpec(), ds),
+        (LossSpec(model_link=scaled_logistic_link(2.0)), ds),
+        (LossSpec(), _votes(ds, 3)),
+        (LossSpec(links=tuple([tab, logistic_link(), scaled_logistic_link(0.5),
+                               logistic_link()][:ds.m])), ds),
+        (LossSpec(links=tuple(scaled_logistic_link(a)
+                              for a in np.linspace(0.5, 2.0, ds.m))), ds),
     ]
 
 
@@ -70,12 +75,8 @@ def _reference_kernel(spec, Y, u):
     """Loss, gradient coefficients and Hessian weights from the separate
     link_antiderivative / link_eval / link_derivative formulas."""
     n, m = Y.shape
-    if spec.mode in (LossMode.MULTI_LABEL, LossMode.MAJORITY_VOTE):
-        if spec.mode is LossMode.MULTI_LABEL:
-            k, M = (Y == 1).sum(axis=1).astype(float), float(m)
-        else:
-            ybar = majority_vote_matrix(Y, spec.tie_seed)
-            k, M = (ybar + 1.0) / 2.0, 1.0
+    if spec.links is None:
+        k, M = (Y == 1).sum(axis=1).astype(float), float(m)
         link, scale = spec.model_link, n * M
         loss = (k * link_antiderivative(link, -u)
                 + (M - k) * link_antiderivative(link, u)).sum() / scale
@@ -103,18 +104,18 @@ def test_kernel_matches_separate_link_formulas():
     Y = rng.choice([-1, 1], size=(n, m)).astype(np.int8)
     Y[:3] = 1  # rows whose labels all agree, so both tails of k appear
     ds = MultiLabelDataset(X=np.zeros((n, 1)), Y=Y)
+    votes = _votes(ds, 3)
     model_links = _model_links()
-    specs = [LossSpec(mode=LossMode.MULTI_LABEL, model_link=link) for link in model_links]
-    specs += [LossSpec(mode=LossMode.MAJORITY_VOTE, model_link=link, tie_seed=3)
-              for link in model_links]
-    specs += [LossSpec(mode=LossMode.PER_LABELER, links=model_links),
-              LossSpec(mode=LossMode.CROWD_SCALED,
-                       links=tuple(scaled_logistic_link(a) for a in (0.1, 1.0, 50.0, 2.0)))]
+    cases = [(LossSpec(model_link=link), data)
+             for data in (ds, votes) for link in model_links]
+    cases += [(LossSpec(links=model_links), ds),
+              (LossSpec(links=tuple(scaled_logistic_link(a)
+                                    for a in (0.1, 1.0, 50.0, 2.0))), ds)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for spec in specs:
-            got = _reduce(spec, ds)(u)
-            want = _reference_kernel(spec, Y, u)
+        for spec, data in cases:
+            got = _reduce(spec, data)(u)
+            want = _reference_kernel(spec, data.Y, u)
             for g, w in zip(got, want):
                 g, w = np.asarray(g), np.asarray(w)
                 assert g.shape == w.shape
@@ -148,7 +149,7 @@ def test_count_kernel_groups_match_per_labeler_formulas():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for links, one_sided, two_sided in cases:
-            spec = LossSpec(mode=LossMode.PER_LABELER, links=links)
+            spec = LossSpec(links=links)
             kernel = _reduce(spec, ds)
             assert (len(kernel.one_sided), len(kernel.two_sided)) == (one_sided, two_sided)
             got = kernel(u)
@@ -172,7 +173,7 @@ def test_nearly_symmetric_table_stays_two_sided():
     near = tabulated_link(grid, values)
     assert not near.symmetric
     ds = MultiLabelDataset(X=np.zeros((4, 1)), Y=np.ones((4, 2)))
-    kernel = _reduce(LossSpec(mode=LossMode.PER_LABELER, links=(near, near)), ds)
+    kernel = _reduce(LossSpec(links=(near, near)), ds)
     assert (len(kernel.one_sided), len(kernel.two_sided)) == (0, 1)
 
 
@@ -189,15 +190,15 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     ds = _random_dataset(rng)
     h = 1e-6
-    for spec in _all_specs(ds.m):
+    for spec, data in _all_fits(ds):
         for _ in range(5):
             theta = rng.standard_normal(ds.d)
-            g = loss_gradient(spec, theta, ds)
+            g = loss_gradient(spec, theta, data)
             for k in range(ds.d):
                 e = np.zeros(ds.d)
                 e[k] = h
-                fd = (loss_value(spec, theta + e, ds)
-                      - loss_value(spec, theta - e, ds)) / (2 * h)
+                fd = (loss_value(spec, theta + e, data)
+                      - loss_value(spec, theta - e, data)) / (2 * h)
                 assert g[k] == pytest.approx(fd, abs=1e-6)
 
 
@@ -205,15 +206,15 @@ def test_hessian_matches_finite_differences():
     rng = np.random.default_rng(3)
     ds = _random_dataset(rng)
     h = 1e-5
-    for spec in _all_specs(ds.m):
+    for spec, data in _all_fits(ds):
         theta = rng.standard_normal(ds.d) * 0.5
-        H = loss_hessian(spec, theta, ds)
+        H = loss_hessian(spec, theta, data)
         assert np.allclose(H, H.T, atol=1e-12)
         for k in range(ds.d):
             e = np.zeros(ds.d)
             e[k] = h
-            fd = (loss_gradient(spec, theta + e, ds)
-                  - loss_gradient(spec, theta - e, ds)) / (2 * h)
+            fd = (loss_gradient(spec, theta + e, data)
+                  - loss_gradient(spec, theta - e, data)) / (2 * h)
             assert np.max(np.abs(H[:, k] - fd)) < 1e-4
 
 
@@ -234,8 +235,8 @@ def test_crowd_scaled_all_ones_equals_multilabel_logistic():
     rng = np.random.default_rng(4)
     ds = _random_dataset(rng, m=3)
     theta = rng.standard_normal(ds.d)
-    crowd = LossSpec(mode=LossMode.CROWD_SCALED, links=(scaled_logistic_link(1.0),) * 3)
-    multi = LossSpec(mode=LossMode.MULTI_LABEL)
+    crowd = LossSpec(links=(scaled_logistic_link(1.0),) * 3)
+    multi = LossSpec()
     assert np.allclose(loss_gradient(crowd, theta, ds),
                        loss_gradient(multi, theta, ds), atol=1e-12)
     assert loss_value(crowd, theta, ds) == pytest.approx(
@@ -246,20 +247,15 @@ def test_dimension_checks():
     rng = np.random.default_rng(5)
     ds = _random_dataset(rng, m=3)
     with pytest.raises(DimensionMismatch):
-        loss_value(LossSpec(mode=LossMode.MULTI_LABEL), np.zeros(ds.d + 1), ds)
+        loss_value(LossSpec(), np.zeros(ds.d + 1), ds)
     with pytest.raises(DimensionMismatch):
-        loss_value(LossSpec(mode=LossMode.PER_LABELER,
-                            links=(logistic_link(),)), np.zeros(ds.d), ds)
+        loss_value(LossSpec(links=(logistic_link(),)), np.zeros(ds.d), ds)
     with pytest.raises(DimensionMismatch):
-        loss_value(LossSpec(mode=LossMode.CROWD_SCALED,
-                            links=(scaled_logistic_link(1.0),) * 2), np.zeros(ds.d), ds)
+        loss_value(LossSpec(links=(scaled_logistic_link(1.0),) * 2), np.zeros(ds.d), ds)
     with pytest.raises(ValueError):
-        LossSpec(mode=LossMode.PER_LABELER)
+        LossSpec(links=())
     with pytest.raises(ValueError):
-        LossSpec(mode=LossMode.CROWD_SCALED)
-    with pytest.raises(ValueError):
-        LossSpec(mode=LossMode.CROWD_SCALED,
-                 links=tuple(scaled_logistic_link(a) for a in (1.0, -1.0)))
+        LossSpec(links=tuple(scaled_logistic_link(a) for a in (1.0, -1.0)))
 
 
 def test_fit_recovers_direction():
@@ -267,7 +263,7 @@ def test_fit_recovers_direction():
     model = ModelSpec(theta_star=np.array([1.5, 0.0, 0.0]), links=(lr,) * 3,
                       covariates=isotropic_gaussian(3))
     ds = sample_dataset(model, 20_000, seed=6)
-    res = fit(LossSpec(mode=LossMode.MULTI_LABEL), ds)
+    res = fit(LossSpec(), ds)
     assert res.converged and not res.separable
     assert res.final_gradient_norm <= 1e-10
     assert np.linalg.norm(res.u_hat - model.u_star) < 0.05
@@ -285,7 +281,7 @@ def test_fit_does_not_stall_at_loss_roundoff():
                       links=(lr,) * 16, covariates=isotropic_gaussian(5))
     ds = sample_dataset(model, 20_000, seed=0, trial=3)
     for theta0 in (None, np.zeros(5)):
-        res = fit(LossSpec(mode=LossMode.MULTI_LABEL), ds, theta0=theta0)
+        res = fit(LossSpec(), ds, theta0=theta0)
         assert res.converged and not res.separable
         assert res.stop_reason == "decrement"
         assert res.iterations <= 30
@@ -297,7 +293,7 @@ def test_fit_capped_above_grad_tol_raises():
     # with ||grad|| within 1e-8
     rng = np.random.default_rng(14)
     ds = _random_dataset(rng, n=400)
-    spec = LossSpec(mode=LossMode.MULTI_LABEL)
+    spec = LossSpec()
     theta = fit(spec, ds).theta_hat
     H = loss_hessian(spec, theta, ds)
     start = theta + np.linalg.solve(H, np.full(ds.d, 2e-9))
@@ -318,7 +314,7 @@ def test_zero_hessian_start_takes_jittered_step():
     model = ModelSpec(theta_star=np.array([1.5, 0.0]), links=(flat,) * 4,
                       covariates=isotropic_gaussian(2))
     ds = sample_dataset(model, 3000, seed=3)
-    spec = LossSpec(mode=LossMode.MULTI_LABEL, model_link=flat)
+    spec = LossSpec(model_link=flat)
     assert not np.any(loss_hessian(spec, np.zeros(2), ds))
     fits = [fit(spec, ds, theta0=start)
             for start in (None, np.zeros(2), np.array([0.3, 0.1]))]
@@ -338,40 +334,33 @@ def _warm_dataset(seed, n, m=4):
 
 def test_sub_kernel_equals_reduce_on_strided_rows():
     # the warm start's kernel is the full kernel's counts sliced; on strided
-    # rows that is the kernel of the strided data set, except for majority
-    # vote, whose tie-break coins follow the full data's rows
+    # rows that is the kernel of the strided data set
     ds = _warm_dataset(15, 1000)
     rows = slice(None, None, WARM_STRIDE)
-    strided = MultiLabelDataset(X=ds.X[rows], Y=ds.Y[rows])
-    u = strided.X @ np.array([1.0, -0.5, 0.25])
+    u = ds.X[rows] @ np.array([1.0, -0.5, 0.25])
     skewed = _model_links()[3]
-    specs = _all_specs(ds.m) + [
-        LossSpec(mode=LossMode.MULTI_LABEL, model_link=skewed),
-        LossSpec(mode=LossMode.MAJORITY_VOTE, model_link=skewed, tie_seed=5),
-        LossSpec(mode=LossMode.PER_LABELER,
-                 links=(skewed, logistic_link(), skewed, scaled_logistic_link(0.5)))]
-    for spec in specs:
-        full = _reduce(spec, ds)
+    cases = _all_fits(ds) + [
+        (LossSpec(model_link=skewed), ds),
+        (LossSpec(model_link=skewed), _votes(ds, 5)),
+        (LossSpec(links=(skewed, logistic_link(), skewed, scaled_logistic_link(0.5))), ds)]
+    for spec, data in cases:
+        full = _reduce(spec, data)
         sub = full.rows(rows)
+        strided = MultiLabelDataset(X=data.X[rows], Y=data.Y[rows])
         assert sub.count.size == strided.n
-        if spec.mode is LossMode.MAJORITY_VOTE:
-            assert np.array_equal(sub.count, full.count[::WARM_STRIDE])
-            want = _CountKernel([(spec.model_link, 1, full.count[::WARM_STRIDE])])(u)
-        else:
-            want = _reduce(spec, strided)(u)
-        for g, w in zip(sub(u), want):
-            assert np.array_equal(g, w), spec.mode
+        for g, w in zip(sub(u), _reduce(spec, strided)(u)):
+            assert np.array_equal(g, w), spec
         assert full.count.size == ds.n  # the full kernel is untouched
 
 
 def test_warm_start_cuts_full_data_iterations():
     ds = _warm_dataset(16, 20_000, m=16)
-    for spec in (LossSpec(mode=LossMode.MULTI_LABEL),
-                 LossSpec(mode=LossMode.MAJORITY_VOTE, tie_seed=16)):
-        warm = fit(spec, ds)
-        cold = fit(spec, ds, theta0=np.zeros(ds.d))
+    spec = LossSpec()
+    for data in (ds, _votes(ds, 16)):
+        warm = fit(spec, data)
+        cold = fit(spec, data, theta0=np.zeros(ds.d))
         assert warm.warm_iterations > 0 and cold.warm_iterations == 0
-        assert warm.iterations <= cold.iterations - 2, spec.mode
+        assert warm.iterations <= cold.iterations - 2, data.m
         assert warm.final_gradient_norm <= 1e-10
         assert np.max(np.abs(warm.u_hat - cold.u_hat)) <= 1e-9
 
@@ -379,7 +368,7 @@ def test_warm_start_cuts_full_data_iterations():
 def test_warm_start_skipped_with_theta0_or_few_rows():
     # below the row floor, or from a given start, the fit is the one loop
     # from that start, bit for bit
-    spec = LossSpec(mode=LossMode.MULTI_LABEL)
+    spec = LossSpec()
     small = _warm_dataset(17, WARM_MIN_ROWS - 1)
     res = fit(spec, small)
     ref = fit(spec, small, theta0=np.zeros(small.d))
@@ -399,7 +388,7 @@ def test_separable_subsample_falls_back_to_zeros():
     Y = ds.Y.copy()
     Y[::WARM_STRIDE, 0] = np.where(ds.X[::WARM_STRIDE, 0] >= 0, 1, -1)
     ds = MultiLabelDataset(X=ds.X, Y=Y)
-    spec = LossSpec(mode=LossMode.MULTI_LABEL)
+    spec = LossSpec()
     res = fit(spec, ds)
     ref = fit(spec, ds, theta0=np.zeros(ds.d))
     assert res.warm_iterations > 0 and res.converged
@@ -412,9 +401,9 @@ def test_fit_gradient_is_stationary_all_modes():
     model = ModelSpec(theta_star=np.array([1.0, 0.5]), links=(lr,) * 3,
                       covariates=isotropic_gaussian(2))
     ds = sample_dataset(model, 2000, seed=8)
-    for spec in _all_specs(ds.m):
-        res = fit(spec, ds)
-        g = loss_gradient(spec, res.theta_hat, ds)
+    for spec, data in _all_fits(ds):
+        res = fit(spec, data)
+        g = loss_gradient(spec, res.theta_hat, data)
         assert np.linalg.norm(g) <= 1e-9
         # the fit's own norm is that of the public gradient, bit for bit
         assert res.final_gradient_norm == np.linalg.norm(g)
@@ -430,11 +419,11 @@ def test_fit_is_bit_identical_on_c_and_f_ordered_covariates():
         ds = sample_dataset(model, n, seed=21)
         f_ds = MultiLabelDataset(X=np.asfortranarray(ds.X), Y=ds.Y)
         assert f_ds.X.flags.f_contiguous and not f_ds.X.flags.c_contiguous
-        for spec in _all_specs(ds.m):
-            c_res, f_res = fit(spec, ds), fit(spec, f_ds)
-            assert c_res.theta_hat.tobytes() == f_res.theta_hat.tobytes(), spec.mode
+        for (spec, c_data), (_, f_data) in zip(_all_fits(ds), _all_fits(f_ds)):
+            c_res, f_res = fit(spec, c_data), fit(spec, f_data)
+            assert c_res.theta_hat.tobytes() == f_res.theta_hat.tobytes(), spec
             assert dataclasses.replace(c_res, theta_hat=None) == \
-                dataclasses.replace(f_res, theta_hat=None), spec.mode
+                dataclasses.replace(f_res, theta_hat=None), spec
 
 
 def test_separable_detection():
@@ -443,7 +432,7 @@ def test_separable_detection():
     Y = np.sign(X @ np.array([1.0, 0.0]))[:, None].astype(int)
     Y[Y == 0] = 1
     ds = MultiLabelDataset(X=X, Y=Y)
-    res = fit(LossSpec(mode=LossMode.MULTI_LABEL), ds,
+    res = fit(LossSpec(), ds,
               SolverOptions(max_iters=500))
     assert res.separable
     assert not res.converged
@@ -451,5 +440,5 @@ def test_separable_detection():
 
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError):
-        fit(LossSpec(mode=LossMode.MULTI_LABEL),
+        fit(LossSpec(),
             MultiLabelDataset(X=np.zeros((0, 2)), Y=np.zeros((0, 1))))

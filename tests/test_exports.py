@@ -1,8 +1,12 @@
 import importlib
+import importlib.util
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import labelsim
+from labelsim import cli, estimators, montecarlo, semiparam, theory
 
 MODULES = ("links", "datagen", "estimators", "theory", "semiparam", "montecarlo")
 
@@ -21,3 +25,29 @@ def test_package_names_are_module_exports():
     public = {n for n in vars(labelsim) if not n.startswith("_")}
     public -= set(MODULES) | {"cli"}
     assert sorted(public - exported) == []
+
+
+def test_benchmark_tracer_patches_resolve():
+    # the benchmark's tracer wraps labelsim names by attribute; a renamed or
+    # deleted name (estimators.majority_vote_matrix, LossSpec.mode) would
+    # break a traced benchmark run and nothing else
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    rng = np.random.default_rng(0)
+    ds = labelsim.MultiLabelDataset(X=rng.standard_normal((50, 2)),
+                                    Y=rng.choice([-1, 1], size=(50, 2)))
+    tracer = tracing.Tracer()
+    try:  # a name that fails to resolve leaves the names before it patched
+        tracing.install(tracer, (cli, montecarlo, semiparam, estimators, theory))
+        patched = list(tracer._patches)
+        montecarlo.fit(labelsim.LossSpec(), ds)
+        montecarlo.fit(labelsim.LossSpec(links=(labelsim.logistic_link(),) * 2), ds)
+    finally:
+        tracer.restore()
+    modes = [s.attrs["mode"] for s in tracer.spans if s.name == "estimators.fit"]
+    assert modes == ["multilabel", "per_labeler"]
+    assert [attr for owner, attr, original in patched
+            if getattr(owner, attr) is not original] == []

@@ -6,7 +6,6 @@ from scipy.special import expit
 from labelsim import (
     ALPHA_FLOOR,
     IsotonicFitOptions,
-    LossMode,
     LossSpec,
     ModelSpec,
     MultiLabelDataset,
@@ -357,7 +356,7 @@ def test_semiparametric_fit_recovers_direction_and_links():
     for link in out.links:
         assert _link_l2_error(link, LR) <= 0.1
     # the refit is stationary for the per-labeler loss it minimizes
-    spec = LossSpec(mode=LossMode.PER_LABELER, links=out.links)
+    spec = LossSpec(links=out.links)
     ds2 = MultiLabelDataset(X=ds.X[out.stage2_index], Y=ds.Y[out.stage2_index])
     g = loss_gradient(spec, out.fit.theta_hat, ds2)
     assert np.linalg.norm(g) < 1e-8
@@ -432,8 +431,7 @@ def test_estimate_alpha_meets_first_order_condition(n):
         y = ds.Y[:, j].astype(float)
         score = np.mean(y * s * expit(-y * est.raw[j] * s))
         assert abs(score) <= GRAD_TOL
-        one = fit(LossSpec(mode=LossMode.MULTI_LABEL),
-                  MultiLabelDataset(X=s[:, None], Y=ds.Y[:, [j]]))
+        one = fit(LossSpec(), MultiLabelDataset(X=s[:, None], Y=ds.Y[:, [j]]))
         assert est.raw[j] == one.theta_hat[0]
 
 

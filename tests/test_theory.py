@@ -16,9 +16,9 @@ from labelsim import (
     CovariateKind,
     DivergentIntegral,
     GapFunction,
-    LossMode,
     LossSpec,
     ModelSpec,
+    MultiLabelDataset,
     NotOrthogonal,
     PredictionKind,
     ZExpectationEngine,
@@ -34,6 +34,7 @@ from labelsim import (
     link_derivative,
     link_eval,
     logistic_link,
+    majority_vote_matrix,
     predict_covariance,
     pseudo_inverse_decomp,
     rho_m,
@@ -699,18 +700,19 @@ def test_crowd_prediction_matches_crowd_loss_sandwich():
     # so its semiparametric fit settles at a root t_m != t*
     crowd = _model(1.0, 3, links=tuple(scaled_logistic_link(a) for a in (0.5, 1.0, 2.0)))
     cases = [(PredictionKind.CROWDSOURCING, crowd,
-              LossSpec(mode=LossMode.CROWD_SCALED, links=crowd.links), None),
+              LossSpec(links=crowd.links), None),
              (PredictionKind.MAJORITY_VOTE_EXACT, _model(2.0, 3),
-              LossSpec(mode=LossMode.MAJORITY_VOTE, model_link=_asymmetric_link()),
-              _asymmetric_link())]
+              LossSpec(model_link=_asymmetric_link()), _asymmetric_link())]
     for links in ((_asymmetric_link(),) * 3, (LR, _asymmetric_link(), LR)):
         model = _model(1.0, 3, links=links)
         cases.append((PredictionKind.SEMIPARAMETRIC, model,
-                      LossSpec(mode=LossMode.PER_LABELER, links=links), None))
+                      LossSpec(links=links), None))
     n = 400_000
     for kind, model, spec, model_link in cases:
         pred = predict_covariance(kind, model, model_link=model_link)
         ds = sample_dataset(model, n, seed=12)
+        if kind is PredictionKind.MAJORITY_VOTE_EXACT:  # fit the vote column
+            ds = MultiLabelDataset(X=ds.X, Y=majority_vote_matrix(ds.Y, 0))
         kernel = _reduce(spec, ds)
         _, coef, w = kernel(ds.X @ (pred.t_m * model.u_star))
         v, h = (coef * kernel.scale) ** 2, w * kernel.scale
