@@ -204,7 +204,9 @@ def cmd_simulate(config_path: str, output: str | None = None) -> int:
                 _fmt(row["empirical_multiplier"]),
                 str(row["included"]), str(row["excluded"]),
             ]))
-        summary = {"slope": study.slope,
+        # one m fits no slope: NaN, which JSON (RFC 8259) has no token for
+        slope = None if np.isnan(study.slope) else study.slope
+        summary = {"slope": slope,
                    "rows": [{k: row[k] for k in sorted(row)} for row in study.rows]}
     else:
         result = run_experiment(base)
@@ -224,9 +226,11 @@ def cmd_simulate(config_path: str, output: str | None = None) -> int:
             "excluded": result.excluded_count,
             "n_effective": result.n_effective,
         }
+    # built before either file is written: a value JSON cannot hold raises
+    # ValueError here and leaves no half-written output
+    summary_line = json.dumps(summary, sort_keys=True, allow_nan=False)
     _write_lines(out_path, lines)
-    _write_lines(out_path + ".summary.json",
-                 [json.dumps(summary, sort_keys=True)])
+    _write_lines(out_path + ".summary.json", [summary_line])
     return 0
 
 

@@ -36,8 +36,8 @@ cannot resolve. A fit converged when it stopped on ``GRAD_TOL`` or on the
 decrement.
 
 Without a start ``theta0``, a fit on at least ``WARM_MIN_ROWS`` rows first
-runs the same loop on every ``WARM_STRIDE``-th row, the kernel's counts
-(``_CountKernel.rows``) and XT's columns sliced, to the loose
+runs the same loop on every ``WARM_STRIDE``-th row, its label rows reduced
+to their own kernel and XT's columns sliced, to the loose
 ``WARM_GRAD_TOL``. Newton converges quadratically near the optimum
 (9.5.3), so from the subsample's optimum the full-data loop needs 3-4
 iterations instead of 6-10 from zero. A subsample fit that ends separable,
@@ -48,7 +48,6 @@ the same stopping rule on all n rows.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -207,21 +206,6 @@ class _CountKernel:
         deriv /= self.scale
         return float(loss / self.scale), value, deriv
 
-    def rows(self, index: slice) -> _CountKernel:
-        """This kernel on the rows ``index`` of its data: the count vectors
-        sliced (and copied contiguous), so that every label count and link
-        group stays that of the full data."""
-        def take(a):
-            return np.ascontiguousarray(a[index])
-
-        sub = copy.copy(self)
-        if self.one_sided:
-            sub.k = take(self.k)
-        sub.two_sided = [(link, M, take(k)) for link, M, k in self.two_sided]
-        sub.count = take(self.count)
-        sub.scale = sub.count.size * self.M
-        return sub
-
     def separated(self, u: np.ndarray) -> bool:
         return bool(np.all(np.where(u > 0, self.count == self.M,
                                     (u < 0) & (self.count == 0))))
@@ -235,12 +219,12 @@ def _check_dims(spec: LossSpec, theta: np.ndarray, dataset: MultiLabelDataset):
         raise DimensionMismatch("need one link per labeler column")
 
 
-def _reduce(spec: LossSpec, dataset: MultiLabelDataset) -> _CountKernel:
-    """The loss kernel of ``spec`` on ``dataset``, with the labels counted
-    once per link group."""
-    positive = dataset.Y == 1
+def _reduce(spec: LossSpec, Y: np.ndarray) -> _CountKernel:
+    """The loss kernel of ``spec`` on the n x m labels ``Y``, with the
+    labels counted once per link group."""
+    positive = Y == 1
     if spec.links is None:
-        return _CountKernel([(spec.model_link, dataset.m,
+        return _CountKernel([(spec.model_link, Y.shape[1],
                               positive.sum(axis=1).astype(float))])
     distinct, index = group_links(spec.links)
     return _CountKernel([(link, int(np.count_nonzero(index == g)),
@@ -254,7 +238,7 @@ def _kernel_and_design(spec: LossSpec, theta, dataset: MultiLabelDataset):
     theta = np.asarray(theta, dtype=float)
     _check_dims(spec, theta, dataset)
     XT = np.ascontiguousarray(dataset.X.T)
-    return _reduce(spec, dataset), XT, theta @ XT
+    return _reduce(spec, dataset.Y), XT, theta @ XT
 
 
 def loss_value(spec: LossSpec, theta, dataset: MultiLabelDataset) -> float:
@@ -372,10 +356,10 @@ def fit(spec: LossSpec, dataset: MultiLabelDataset,
         raise ValueError("dataset is empty")
     theta = np.zeros(dataset.d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     _check_dims(spec, theta, dataset)
-    kernel, XT = _reduce(spec, dataset), np.ascontiguousarray(dataset.X.T)
+    kernel, XT = _reduce(spec, dataset.Y), np.ascontiguousarray(dataset.X.T)
     warm_iterations = 0
     if theta0 is None and dataset.n >= WARM_MIN_ROWS:
-        sub = kernel.rows(slice(None, None, WARM_STRIDE))
+        sub = _reduce(spec, dataset.Y[::WARM_STRIDE])
         start, sub_u, _, warm_iterations, stop = _newton(
             sub, np.ascontiguousarray(XT[:, ::WARM_STRIDE]), theta,
             WARM_GRAD_TOL, opts.max_iters)

@@ -10,12 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import (
-    sample_covariates,
-    sample_dataset,
-    sample_labels,
-    sample_majority_votes,
-)
+from .datagen import sample_covariates, sample_labels, sample_majority_votes
+
+# unused here; the benchmark tracer (perfbench/tracing.py) patches
+# montecarlo.sample_dataset, and ``--trace 1`` fails without the name
+from .datagen import sample_dataset  # noqa: F401
 from .estimators import LossSpec, NonConvergence, fit
 from .links import (
     LinkSpec,
@@ -109,7 +108,7 @@ class ScalingStudy:
     slope: float
 
 
-def _fit_trial(config: ExperimentConfig, trial: int, ds: MultiLabelDataset):
+def _fit_trial(config: ExperimentConfig, ds: MultiLabelDataset):
     """Fit one trial's dataset; returns (u_hat, flag, n_eff)."""
     model = config.model
     try:
@@ -145,24 +144,13 @@ def _draw(config: ExperimentConfig, X: np.ndarray, trial: int) -> MultiLabelData
 
 
 def _run_trial(configs: list[ExperimentConfig], trial: int) -> list[tuple]:
-    """One seeded trial of every config on one draw of covariates: the first
-    config draws X with its labels (``sample_dataset``), or X alone and then
-    its votes when it is majority vote; each later config draws only its
-    labels or votes on the same X (``_draw``). Returns one
-    (u_hat, flag, n_eff) per config."""
+    """One seeded trial of every config on one draw of covariates: X is
+    drawn once (``sample_covariates``), then each config draws only its
+    labels or votes on it (``_draw``) and is fitted before the next draws.
+    Returns one (u_hat, flag, n_eff) per config."""
     first = configs[0]
-    if first.estimator == "majority":
-        ds = _draw(first, sample_covariates(first.model.covariates, first.n,
-                                            first.seed, trial), trial)
-    else:
-        ds = sample_dataset(first.model, first.n, first.seed, trial)
-    X = ds.X
-    outcomes = [_fit_trial(first, trial, ds)]
-    for config in configs[1:]:
-        del ds  # free the previous labels before drawing the next
-        ds = _draw(config, X, trial)
-        outcomes.append(_fit_trial(config, trial, ds))
-    return outcomes
+    X = sample_covariates(first.model.covariates, first.n, first.seed, trial)
+    return [_fit_trial(config, _draw(config, X, trial)) for config in configs]
 
 
 def _summarize(config: ExperimentConfig, u_rows: np.ndarray, flags: list[str],
@@ -222,9 +210,10 @@ def _run_experiments(configs: list[ExperimentConfig]) -> list[TrialSummary]:
     summarize each config in order.
 
     The configs share n, seed, trials and covariate distribution, so trial t
-    draws its covariates once for all of them (``_run_trial``). Every
-    (seed, trial, purpose) stream is independent of call order, so each
-    config sees the data a run of its own would draw, bit for bit.
+    draws X once for all of them and then each config's labels or votes on
+    it (``_run_trial``). Every (seed, trial, purpose) stream is independent
+    of call order, so each config sees the data a run of its own would
+    draw, bit for bit.
 
     The first call pins glibc's mmap threshold at 16 MiB and its trim
     threshold at 32 MiB for the rest of the process

@@ -534,11 +534,6 @@ def gap_eval(g: GapFunction, t: float) -> float:
     return g.engine.expect(lambda z: z * _kernel_moments(g._groups, t, z)[0])
 
 
-def _gap_slope(g: GapFunction, t: float) -> float:
-    """h'(t) = E[Z^2 E[w | Z]] > 0."""
-    return g.engine.expect(lambda z: z * z * _kernel_moments(g._groups, t, z)[2])
-
-
 def solve_tm(g: GapFunction) -> float:
     """Unique root of the gap function, found by doubling the upper bracket
     from t* and refining with Brent's method to 1e-12. The root and its
@@ -601,15 +596,19 @@ def predict_covariance(kind: PredictionKind, model: ModelSpec,
                     true_links=model.links,
                     engine=ZExpectationEngine(dist=model.covariates))
     t_m = solve_tm(g)
-    # the coarse rule's root, by one Newton step of its gap function
-    coarse_t_m = t_m - gap_eval(g.coarse, t_m) / _gap_slope(g.coarse, t_m)
+    # the coarse rule's root, by one Newton step of its gap function h(t) =
+    # E[Z E[c | Z]], whose slope is h'(t) = E[Z^2 E[w | Z]] > 0
+    coarse = g.coarse
+    mean, _, weight = _kernel_moments(coarse._groups, t_m, coarse.engine.nodes)
+    coarse_t_m = t_m - (coarse.engine.expect(lambda z: z * mean)
+                        / coarse.engine.expect(lambda z: z * z * weight))
     mult = _sandwich(g.engine, g._groups, t_m)
-    coarse = _sandwich(g.coarse.engine, g.coarse._groups, coarse_t_m)
+    coarse_mult = _sandwich(coarse.engine, coarse._groups, coarse_t_m)
     base = _projected_pinv(model.covariates, model.u_star)
     return TheoryPrediction(kind=kind.value, t_m=t_m, variance_multiplier=mult,
                             covariance=mult * base,
                             t_m_error=abs(t_m - coarse_t_m) + ROOT_XTOL + ROUNDOFF * t_m,
-                            multiplier_error=abs(mult - coarse) + ROUNDOFF * abs(mult),
+                            multiplier_error=abs(mult - coarse_mult) + ROUNDOFF * abs(mult),
                             root_iterations=g.root[1])
 
 

@@ -109,6 +109,23 @@ def test_simulate_scaling_study_output(tmp_path):
     assert len(summary["rows"]) == 2 and "slope" in summary
 
 
+def _strict_json(text):
+    def reject(token):  # NaN, Infinity and -Infinity are not JSON
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_scaling_study_summary_is_strict_json(tmp_path):
+    # one m fits no slope: the summary says null, not NaN
+    for m_values, rows in (("4", 1), ("1,2", 2)):
+        out = str(tmp_path / f"scale{rows}.csv")
+        config = _minimal_config(tmp_path, out, extra=f"m_values={m_values}")
+        assert main(["simulate", config]) == 0
+        summary = _strict_json(open(out + ".summary.json").read())
+        assert len(summary["rows"]) == rows
+        assert (summary["slope"] is None) == (rows == 1)
+
+
 def test_simulate_exit_3_when_too_many_trials_excluded(tmp_path, capsys):
     out = str(tmp_path / "sep.csv")
     config = _minimal_config(tmp_path, out, extra="t_star=8.0\nn=30\ntrials=10")

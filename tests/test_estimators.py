@@ -114,7 +114,7 @@ def test_kernel_matches_separate_link_formulas():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for spec, data in cases:
-            got = _reduce(spec, data)(u)
+            got = _reduce(spec, data.Y)(u)
             want = _reference_kernel(spec, data.Y, u)
             for g, w in zip(got, want):
                 g, w = np.asarray(g), np.asarray(w)
@@ -150,7 +150,7 @@ def test_count_kernel_groups_match_per_labeler_formulas():
         warnings.simplefilter("error")
         for links, one_sided, two_sided in cases:
             spec = LossSpec(links=links)
-            kernel = _reduce(spec, ds)
+            kernel = _reduce(spec, ds.Y)
             assert (len(kernel.one_sided), len(kernel.two_sided)) == (one_sided, two_sided)
             got = kernel(u)
             want = _reference_kernel(spec, Y, u)
@@ -160,7 +160,7 @@ def test_count_kernel_groups_match_per_labeler_formulas():
                 assert np.all(np.abs(g - w) <= np.maximum(1e-13 * np.abs(w), 1e-15)), links
             # separated iff every label has the sign of its row's margin
             assert not kernel.separated(u)
-            unanimous = _reduce(spec, MultiLabelDataset(X=np.zeros((5, 1)), Y=Y[:5]))
+            unanimous = _reduce(spec, Y[:5])
             assert unanimous.separated(np.array([1.0, 2.0, 3.0, -1.0, -2.0]))
             assert not unanimous.separated(np.array([1.0, 2.0, 0.0, -1.0, -2.0]))
 
@@ -173,7 +173,7 @@ def test_nearly_symmetric_table_stays_two_sided():
     near = tabulated_link(grid, values)
     assert not near.symmetric
     ds = MultiLabelDataset(X=np.zeros((4, 1)), Y=np.ones((4, 2)))
-    kernel = _reduce(LossSpec(links=(near, near)), ds)
+    kernel = _reduce(LossSpec(links=(near, near)), ds.Y)
     assert (len(kernel.one_sided), len(kernel.two_sided)) == (0, 1)
 
 
@@ -330,27 +330,6 @@ def _warm_dataset(seed, n, m=4):
     model = ModelSpec(theta_star=np.array([2.0, 0.0, 0.0]), links=(lr,) * m,
                       covariates=isotropic_gaussian(3))
     return sample_dataset(model, n, seed=seed)
-
-
-def test_sub_kernel_equals_reduce_on_strided_rows():
-    # the warm start's kernel is the full kernel's counts sliced; on strided
-    # rows that is the kernel of the strided data set
-    ds = _warm_dataset(15, 1000)
-    rows = slice(None, None, WARM_STRIDE)
-    u = ds.X[rows] @ np.array([1.0, -0.5, 0.25])
-    skewed = _model_links()[3]
-    cases = _all_fits(ds) + [
-        (LossSpec(model_link=skewed), ds),
-        (LossSpec(model_link=skewed), _votes(ds, 5)),
-        (LossSpec(links=(skewed, logistic_link(), skewed, scaled_logistic_link(0.5))), ds)]
-    for spec, data in cases:
-        full = _reduce(spec, data)
-        sub = full.rows(rows)
-        strided = MultiLabelDataset(X=data.X[rows], Y=data.Y[rows])
-        assert sub.count.size == strided.n
-        for g, w in zip(sub(u), _reduce(spec, strided)(u)):
-            assert np.array_equal(g, w), spec
-        assert full.count.size == ds.n  # the full kernel is untouched
 
 
 def test_warm_start_cuts_full_data_iterations():

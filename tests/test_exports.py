@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -51,3 +52,33 @@ def test_benchmark_tracer_patches_resolve():
     assert modes == ["multilabel", "per_labeler"]
     assert [attr for owner, attr, original in patched
             if getattr(owner, attr) is not original] == []
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names that the module's top-level imports bind and that it neither
+    reads (as an ``ast.Name``) nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [alias.asname or alias.name.split(".")[0]
+                      for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_src_modules_read_every_import():
+    # no linter is at hand: a leftover import would go unnoticed; the only
+    # unread names are those kept for the benchmark tracer to patch
+    src = Path(labelsim.__file__).resolve().parent
+    unread = {(path.stem, name) for path in sorted(src.glob("*.py"))
+              if path.name != "__init__.py" for name in _unread_imports(path)}
+    assert unread == {("estimators", "majority_vote_matrix"),
+                      ("montecarlo", "sample_dataset")}

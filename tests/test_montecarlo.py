@@ -11,16 +11,23 @@ import pytest
 
 from labelsim import (
     ExperimentConfig,
+    LossSpec,
     ModelSpec,
+    MultiLabelDataset,
     NonConvergence,
     TooFewIncludedTrials,
     empirical_multiplier,
+    fit,
     isotropic_gaussian,
     logistic_link,
     montecarlo,
     run_experiment,
+    sample_covariates,
+    sample_dataset,
+    sample_majority_votes,
     scaled_logistic_link,
     scaling_study,
+    semiparametric_fit,
     tabulated_link,
 )
 from labelsim.montecarlo import _replicate_links
@@ -217,6 +224,29 @@ def test_scaling_study_equals_per_m_run_experiment(base, m_values):
     rows, slope = _per_m_study(base, m_values)
     assert study.rows == rows
     assert study.slope == slope
+
+
+def test_trials_draw_from_the_public_samplers():
+    # trial t of a run is the estimator on the public samplers' draw at
+    # (seed, t): the multi-label and semiparametric data of sample_dataset,
+    # the majority votes of sample_majority_votes on sample_covariates' X
+    n, seed, trials = 3000, 11, 3
+    for estimator in ("multilabel", "majority", "semiparam"):
+        config = _config(n=n, trials=trials, m=3, seed=seed, estimator=estimator)
+        model = config.model
+        summary = run_experiment(config)
+        for t in range(trials):
+            if estimator == "majority":
+                X = sample_covariates(model.covariates, n, seed, t)
+                data = MultiLabelDataset(X=X, Y=sample_majority_votes(model, X, seed, t))
+                want = fit(LossSpec(), data).u_hat
+            elif estimator == "multilabel":
+                want = fit(LossSpec(), sample_dataset(model, n, seed, t)).u_hat
+            else:
+                want = semiparametric_fit(sample_dataset(model, n, seed, t),
+                                          config.split_fraction,
+                                          config.isotonic).fit.u_hat
+            assert np.array_equal(summary.u_hats[t], want), (estimator, t)
 
 
 def test_scaling_study_raises_for_the_first_m_over_the_cap():

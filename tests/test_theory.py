@@ -713,7 +713,7 @@ def test_crowd_prediction_matches_crowd_loss_sandwich():
         ds = sample_dataset(model, n, seed=12)
         if kind is PredictionKind.MAJORITY_VOTE_EXACT:  # fit the vote column
             ds = MultiLabelDataset(X=ds.X, Y=majority_vote_matrix(ds.Y, 0))
-        kernel = _reduce(spec, ds)
+        kernel = _reduce(spec, ds.Y)
         _, coef, w = kernel(ds.X @ (pred.t_m * model.u_star))
         v, h = (coef * kernel.scale) ** 2, w * kernel.scale
         a, b = v.mean(), h.mean()
