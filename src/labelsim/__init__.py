@@ -5,6 +5,7 @@ from .links import (
     CovariateDistribution,
     CovariateKind,
     FitResult,
+    LabelCounts,
     LinkFamily,
     LinkSpec,
     ModelSpec,
@@ -23,6 +24,7 @@ from .datagen import (
     majority_vote_matrix,
     sample_covariates,
     sample_dataset,
+    sample_label_counts,
     sample_labels,
     sample_majority_votes,
     stream_rng,

@@ -11,6 +11,9 @@ or the crowd plug-in's scaled-logistic links sigma(t) = 1/(1 + exp(-alpha_j
 t)) at the estimated reliabilities. Each counts its labels once, per link
 group, into one kernel over the margins u = X theta: group g has M_g labels
 per row under one link, k_g of them +1; the pooled loss is one group, M = m.
+A pooled loss reads nothing of the labels but each row's count k, so
+``fit`` also takes a ``LabelCounts`` (X with the counts, as Monte Carlo
+multi-label trials draw them) for a pooled spec.
 
 Row i of group g costs k_g S_g(-u_i) + (M_g - k_g) S_g(u_i), S the link
 antiderivative. A symmetric link has S(-u) = S(u) - u, sigma(-u) =
@@ -24,9 +27,11 @@ sum_g M_g v_g. Any other group keeps the two-sided form, evaluated at u and
 -u. A kernel call, ``kernel(u) -> (loss, c, w)``, evaluates each link once
 per side through ``links.link_terms`` (S, sigma and sigma' together).
 
-``fit`` reduces the labels to a kernel once and makes one C-contiguous
-d x n copy XT of X^T, on which the margins theta XT, the gradient XT c and
-the Hessian (``_hessian``) all run along the long n axis. It then runs one
+``fit`` counts the labels once, one product per call (``_reduce``), and
+reads X^T as a C-contiguous d x n array XT, on which the margins theta XT,
+the gradient XT c and the Hessian (``_hessian``) all run along the long n
+axis: a view of column-major X (as ``sample_covariates`` draws it), else
+one copy. It then runs one
 damped Newton loop (``_newton``) until the gradient norm reaches
 ``GRAD_TOL``, theta diverges, no step decreases the loss, ``max_iters``
 runs out, or the Newton decrement lambda^2 = g^T H^{-1} g falls to the
@@ -36,8 +41,8 @@ cannot resolve. A fit converged when it stopped on ``GRAD_TOL`` or on the
 decrement.
 
 Without a start ``theta0``, a fit on at least ``WARM_MIN_ROWS`` rows first
-runs the same loop on every ``WARM_STRIDE``-th row, its label rows reduced
-to their own kernel and XT's columns sliced, to the loose
+runs the same loop on every ``WARM_STRIDE``-th row, the counts and XT's
+columns sliced, to the loose
 ``WARM_GRAD_TOL``. Newton converges quadratically near the optimum
 (9.5.3), so from the subsample's optimum the full-data loop needs 3-4
 iterations instead of 6-10 from zero. A subsample fit that ends separable,
@@ -60,9 +65,11 @@ import numpy as np
 from .datagen import majority_vote_matrix  # noqa: F401
 from .links import (
     FitResult,
+    LabelCounts,
     LinkFamily,
     LinkSpec,
     MultiLabelDataset,
+    _count_positive,
     _UniformTable,
     group_links,
     link_antiderivative,
@@ -182,8 +189,9 @@ class _CountKernel:
         groups without their -k u and -k."""
         for terms, M in self.one_sided:
             anti, value, deriv = terms(u)
-            value *= M
-            deriv *= M
+            if M != 1:  # x 1 is exact: skip two full passes
+                value *= M
+                deriv *= M
             yield M * anti.sum(), value, deriv
         for link, M, k in self.two_sided:
             anti, value, deriv = link_terms(link, u)
@@ -211,53 +219,66 @@ class _CountKernel:
                                     (u < 0) & (self.count == 0))))
 
 
-def _check_dims(spec: LossSpec, theta: np.ndarray, dataset: MultiLabelDataset):
-    if theta.shape != (dataset.d,):
+def _check_dims(spec: LossSpec, theta: np.ndarray, data):
+    if theta.shape != (data.d,):
         raise DimensionMismatch(
-            f"theta has shape {theta.shape}, expected ({dataset.d},)")
-    if spec.links is not None and len(spec.links) != dataset.m:
-        raise DimensionMismatch("need one link per labeler column")
+            f"theta has shape {theta.shape}, expected ({data.d},)")
+    if spec.links is not None:
+        if isinstance(data, LabelCounts):
+            raise ValueError("a per-labeler loss reads each labeler's labels, "
+                             "not their pooled counts")
+        if len(spec.links) != data.m:
+            raise DimensionMismatch("need one link per labeler column")
 
 
-def _reduce(spec: LossSpec, Y: np.ndarray) -> _CountKernel:
-    """The loss kernel of ``spec`` on the n x m labels ``Y``, with the
-    labels counted once per link group."""
-    positive = Y == 1
+def _reduce(spec: LossSpec, Y: np.ndarray) -> list:
+    """The link groups (link, M_g, k_g) of ``spec`` on the n x m labels
+    ``Y``, the labels counted once per group by one product
+    (``links._count_positive``)."""
     if spec.links is None:
-        return _CountKernel([(spec.model_link, Y.shape[1],
-                              positive.sum(axis=1).astype(float))])
-    distinct, index = group_links(spec.links)
-    return _CountKernel([(link, int(np.count_nonzero(index == g)),
-                          positive[:, index == g].sum(axis=1).astype(float))
-                         for g, link in enumerate(distinct)])
+        distinct, index = [spec.model_link], np.zeros(Y.shape[1], dtype=np.intp)
+    else:
+        distinct, index = group_links(spec.links)
+    counts = _count_positive(Y == 1, index)
+    return [(link, int(M), k) for link, M, k in zip(distinct, np.bincount(index), counts)]
 
 
-def _kernel_and_design(spec: LossSpec, theta, dataset: MultiLabelDataset):
-    """The kernel of ``spec`` on ``dataset``, the contiguous copy XT of X^T
+def _groups(spec: LossSpec, data: MultiLabelDataset | LabelCounts) -> list:
+    """The link groups of ``spec`` on ``data``: a ``LabelCounts``' counts
+    are its one group, a ``MultiLabelDataset``'s labels are reduced."""
+    if isinstance(data, LabelCounts):
+        return [(spec.model_link, data.m, data.counts)]
+    return _reduce(spec, data.Y)
+
+
+def _kernel_and_design(spec: LossSpec, theta, data):
+    """The kernel of ``spec`` on ``data``, X^T as a C-contiguous array XT
     and the margins theta XT."""
     theta = np.asarray(theta, dtype=float)
-    _check_dims(spec, theta, dataset)
-    XT = np.ascontiguousarray(dataset.X.T)
-    return _reduce(spec, dataset.Y), XT, theta @ XT
+    _check_dims(spec, theta, data)
+    XT = np.ascontiguousarray(data.X.T)
+    return _CountKernel(_groups(spec, data)), XT, theta @ XT
 
 
-def loss_value(spec: LossSpec, theta, dataset: MultiLabelDataset) -> float:
+def loss_value(spec: LossSpec, theta, dataset: MultiLabelDataset | LabelCounts) -> float:
     kernel, _, u = _kernel_and_design(spec, theta, dataset)
     return kernel(u)[0]
 
 
-def loss_gradient(spec: LossSpec, theta, dataset: MultiLabelDataset) -> np.ndarray:
+def loss_gradient(spec: LossSpec, theta,
+                  dataset: MultiLabelDataset | LabelCounts) -> np.ndarray:
     kernel, XT, u = _kernel_and_design(spec, theta, dataset)
     return XT @ kernel(u)[1]
 
 
-def loss_hessian(spec: LossSpec, theta, dataset: MultiLabelDataset) -> np.ndarray:
+def loss_hessian(spec: LossSpec, theta,
+                 dataset: MultiLabelDataset | LabelCounts) -> np.ndarray:
     kernel, XT, u = _kernel_and_design(spec, theta, dataset)
     return _hessian(XT, kernel(u)[2])
 
 
 def _hessian(XT: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X^T diag(w) X, given XT, a C-contiguous copy of X^T: scaling its
+    """X^T diag(w) X, given X^T as a C-contiguous array XT: scaling its
     rows and the product both run along the long contiguous n axis, where
     w[:, None] * X has an inner axis of length d. It equals the broadcast
     form X^T (w[:, None] * X) to round-off, not bit for bit."""
@@ -280,7 +301,7 @@ def _separable(kernel: _CountKernel, theta, u) -> bool:
 def _newton(kernel: _CountKernel, XT: np.ndarray, theta: np.ndarray,
             grad_tol: float, max_iters: int):
     """Damped Newton with backtracking on ``kernel`` over the columns of XT,
-    a C-contiguous d x n copy of X^T, from theta. Returns (theta, u = theta
+    X^T as a C-contiguous d x n array, from theta. Returns (theta, u = theta
     XT, ||grad||, iterations, stop), stop the reason it stopped
     (``FitResult.stop_reason``)."""
     u = theta @ XT
@@ -337,12 +358,15 @@ def _newton(kernel: _CountKernel, XT: np.ndarray, theta: np.ndarray,
     return theta, u, gnorm, iterations, stop
 
 
-def fit(spec: LossSpec, dataset: MultiLabelDataset,
+def fit(spec: LossSpec, dataset: MultiLabelDataset | LabelCounts,
         opts: SolverOptions = SolverOptions(), theta0=None) -> FitResult:
     """Minimize the empirical loss by damped Newton with backtracking.
 
-    Falls back to a gradient step whenever the Hessian solve fails or does
-    not give a descent direction. Without ``theta0``, a fit on at least
+    ``dataset`` holds the labels, or for a pooled ``spec`` only each row's
+    count of +1 labels (``LabelCounts``; a per-labeler spec raises
+    ``ValueError``): both give the same fit, bit for bit. Falls back to a
+    gradient step whenever the Hessian solve fails or does not give a
+    descent direction. Without ``theta0``, a fit on at least
     ``WARM_MIN_ROWS`` rows starts from the optimum of every
     ``WARM_STRIDE``-th row (solved to ``WARM_GRAD_TOL``), or from zeros when
     that subsample fit ends separable or without meeting its tolerance. The
@@ -356,10 +380,15 @@ def fit(spec: LossSpec, dataset: MultiLabelDataset,
         raise ValueError("dataset is empty")
     theta = np.zeros(dataset.d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     _check_dims(spec, theta, dataset)
-    kernel, XT = _reduce(spec, dataset.Y), np.ascontiguousarray(dataset.X.T)
+    groups = _groups(spec, dataset)
+    warm = theta0 is None and dataset.n >= WARM_MIN_ROWS
+    sub = _CountKernel([(link, M, k[::WARM_STRIDE]) for link, M, k in groups]) if warm else None
+    kernel, XT = _CountKernel(groups), np.ascontiguousarray(dataset.X.T)
+    # frees the counts _reduce made when every group is symmetric (each
+    # kernel sums its own); a two-sided group's kernels keep their rows
+    del groups
     warm_iterations = 0
-    if theta0 is None and dataset.n >= WARM_MIN_ROWS:
-        sub = _reduce(spec, dataset.Y[::WARM_STRIDE])
+    if warm:
         start, sub_u, _, warm_iterations, stop = _newton(
             sub, np.ascontiguousarray(XT[:, ::WARM_STRIDE]), theta,
             WARM_GRAD_TOL, opts.max_iters)

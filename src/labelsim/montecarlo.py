@@ -10,13 +10,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import sample_covariates, sample_labels, sample_majority_votes
+from .datagen import (
+    sample_covariates,
+    sample_label_counts,
+    sample_labels,
+    sample_majority_votes,
+)
 
 # unused here; the benchmark tracer (perfbench/tracing.py) patches
 # montecarlo.sample_dataset, and ``--trace 1`` fails without the name
 from .datagen import sample_dataset  # noqa: F401
 from .estimators import LossSpec, NonConvergence, fit
 from .links import (
+    LabelCounts,
     LinkSpec,
     ModelSpec,
     MultiLabelDataset,
@@ -108,12 +114,13 @@ class ScalingStudy:
     slope: float
 
 
-def _fit_trial(config: ExperimentConfig, ds: MultiLabelDataset):
+def _fit_trial(config: ExperimentConfig, ds: MultiLabelDataset | LabelCounts):
     """Fit one trial's dataset; returns (u_hat, flag, n_eff)."""
     model = config.model
     try:
         if config.estimator in ("multilabel", "majority"):
-            # a majority trial's labels are its n x 1 vote column (_draw)
+            # a multi-label trial holds label counts, a majority trial its
+            # n x 1 vote column (_draw)
             res = fit(LossSpec(model_link=config.model_link), ds)
             n_eff = config.n
         elif config.estimator == "semiparam":
@@ -136,17 +143,25 @@ def _fit_trial(config: ExperimentConfig, ds: MultiLabelDataset):
     return res.u_hat, "", n_eff
 
 
-def _draw(config: ExperimentConfig, X: np.ndarray, trial: int) -> MultiLabelDataset:
-    """The config's n x m labels on X, or for majority vote its n x 1 vote
-    column drawn from the vote's exact law (``sample_majority_votes``)."""
+def _draw(config: ExperimentConfig, X: np.ndarray,
+          trial: int) -> MultiLabelDataset | LabelCounts:
+    """What the config's fit reads on X: for multi-label each row's count of
+    +1 labels (``sample_label_counts``), for majority vote the n x 1 vote
+    column drawn from the vote's exact law (``sample_majority_votes``), and
+    otherwise the n x m labels."""
+    model, seed = config.model, config.seed
+    if config.estimator == "multilabel":
+        return LabelCounts(X=X, counts=sample_label_counts(model, X, seed, trial),
+                           m=model.m)
     sample = sample_majority_votes if config.estimator == "majority" else sample_labels
-    return MultiLabelDataset(X=X, Y=sample(config.model, X, config.seed, trial))
+    return MultiLabelDataset(X=X, Y=sample(model, X, seed, trial))
 
 
 def _run_trial(configs: list[ExperimentConfig], trial: int) -> list[tuple]:
     """One seeded trial of every config on one draw of covariates: X is
-    drawn once (``sample_covariates``), then each config draws only its
-    labels or votes on it (``_draw``) and is fitted before the next draws.
+    drawn once, column-major (``sample_covariates``), then each config
+    draws only its label counts, votes or labels on it (``_draw``) and is
+    fitted before the next draws.
     Returns one (u_hat, flag, n_eff) per config."""
     first = configs[0]
     X = sample_covariates(first.model.covariates, first.n, first.seed, trial)
@@ -210,10 +225,10 @@ def _run_experiments(configs: list[ExperimentConfig]) -> list[TrialSummary]:
     summarize each config in order.
 
     The configs share n, seed, trials and covariate distribution, so trial t
-    draws X once for all of them and then each config's labels or votes on
-    it (``_run_trial``). Every (seed, trial, purpose) stream is independent
-    of call order, so each config sees the data a run of its own would
-    draw, bit for bit.
+    draws X once for all of them and then each config's counts, votes or
+    labels on it (``_run_trial``). Every (seed, trial, purpose) stream is
+    independent of call order, so each config sees the data a run of its
+    own would draw, bit for bit.
 
     The first call pins glibc's mmap threshold at 16 MiB and its trim
     threshold at 32 MiB for the rest of the process
@@ -221,9 +236,10 @@ def _run_experiments(configs: list[ExperimentConfig]) -> list[TrialSummary]:
     the next trial. Rerun in one process, a majority ``scaling_study``
     (n = 20000, d = 5, m = 1, 4, 16, 64, 5 trials) took 11k-14k minor
     page faults without it and under 100 with it. Every temporary of a
-    trial up to m = 64 labels (10 MB) fits under the mmap threshold, and a
-    multi-label study at m = 1 ... 1024 (n = 20000, 3 trials) peaks at the
-    same RSS either way (266.1 and 266.2 MB)."""
+    trial up to m = 64 labels (10 MB) fits under the mmap threshold. A
+    multi-label study at m = 1, 4, 16, 64, 256, 1024 (n = 20000, 3 trials)
+    peaks at 85 MB: from 32 labelers on its trials draw counts, not the
+    n x m labels, which took it to 271 MB."""
     _keep_heap_resident()
     u_rows = [np.full((config.trials, config.model.d), np.nan)
               for config in configs]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -233,10 +233,11 @@ def _as_links(true_links, m: int) -> list[LinkSpec]:
     return links
 
 
-def _link_probs(links, s) -> tuple[np.ndarray, np.ndarray]:
+def _link_probs(grouping, s) -> tuple[np.ndarray, np.ndarray]:
     """P(label +1 | margin s) of each distinct link (groups x points), and
-    the number of labelers sharing each."""
-    distinct, index = group_links(links)
+    the number of labelers sharing each, given the links' ``group_links``
+    (computed once per call or draw by the caller)."""
+    distinct, index = grouping
     s = np.atleast_1d(np.asarray(s, dtype=float))
     probs = np.array([link_eval(link, s) for link in distinct])
     return probs, np.bincount(index)
@@ -316,7 +317,8 @@ def rho_m(t, m: int, true_links):
     if m < 1:
         raise ValueError("need m >= 1")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    plus, minus = _vote_tails(*_link_probs(_as_links(true_links, m), t_arr))
+    plus, minus = _vote_tails(*_link_probs(group_links(_as_links(true_links, m)),
+                                           t_arr))
     out = np.where(t_arr > 0, plus, np.where(t_arr < 0, minus, 0.5))
     return float(out[0]) if np.isscalar(t) else out
 
@@ -461,6 +463,9 @@ class GapFunction:
     computed once, so each h(t) is one ``link_terms`` call per group and a
     dot product. A fitted link needs no width of its own: sigma(t_m z)
     follows phi(t* z), whatever its scale, as t_m absorbs it.
+
+    ``grouping`` is ``group_links(true_links)``, computed once on
+    construction.
     """
 
     kind: PredictionKind
@@ -468,15 +473,17 @@ class GapFunction:
     model_link: LinkSpec
     true_links: tuple[LinkSpec, ...]
     engine: ZExpectationEngine
+    grouping: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t_star <= 0:
             raise ValueError("t_star must be positive")
         links = tuple(self.true_links)
         object.__setattr__(self, "true_links", links)
+        object.__setattr__(self, "grouping", group_links(links))
         majority = self.kind is PredictionKind.MAJORITY_VOTE_EXACT
         object.__setattr__(self, "engine", _resolve_for_links(
-            self.engine, group_links(links)[0], self.t_star,
+            self.engine, self.grouping[0], self.t_star,
             math.sqrt(len(links)) if majority else 1.0))
 
     @cached_property
@@ -484,7 +491,7 @@ class GapFunction:
         """The label groups at t* z on the engine's nodes: the model link's
         m labels or one majority vote (whose two tails are computed
         directly), or M_g labels of each distinct true link."""
-        probs, counts = _link_probs(self.true_links, self.t_star * self.engine.nodes)
+        probs, counts = _link_probs(self.grouping, self.t_star * self.engine.nodes)
         if self.kind is PredictionKind.MULTI_LABEL_EXACT:
             return ((self.model_link, len(self.true_links), counts @ probs,
                      counts @ (1.0 - probs), counts @ (probs * (1.0 - probs))),)
@@ -492,7 +499,7 @@ class GapFunction:
             plus, minus = _vote_tails(probs, counts)
             return ((self.model_link, 1, plus, minus, plus * minus),)
         groups = []
-        for link, M, p in zip(group_links(self.true_links)[0], counts, probs):
+        for link, M, p in zip(self.grouping[0], counts, probs):
             plus, q = M * p, 1.0 - p  # M labels, each +1 with probability p
             groups.append((link, M, plus, M * q, plus * q))
         return tuple(groups)
@@ -583,18 +590,18 @@ def predict_covariance(kind: PredictionKind, model: ModelSpec,
     the model's covariates, resolved to the links; the error estimates
     compare with its coarse rule, whose root is one Newton step from t_m.
     """
-    distinct = group_links(model.links)[0]
+    if model_link is None:
+        model_link = logistic_link()
+    g = GapFunction(kind=kind, t_star=model.t_star, model_link=model_link,
+                    true_links=model.links,
+                    engine=ZExpectationEngine(dist=model.covariates))
+    distinct = g.grouping[0]
     if kind is PredictionKind.CROWDSOURCING and any(
             link.family is LinkFamily.TABULATED_MONOTONE for link in distinct):
         raise ValueError("crowd theory needs (scaled-)logistic true links")
     if kind is PredictionKind.WELL_SPECIFIED and len(distinct) > 1:
         raise ValueError("well-specified theory needs one link shared by "
                          "every labeler")
-    if model_link is None:
-        model_link = logistic_link()
-    g = GapFunction(kind=kind, t_star=model.t_star, model_link=model_link,
-                    true_links=model.links,
-                    engine=ZExpectationEngine(dist=model.covariates))
     t_m = solve_tm(g)
     # the coarse rule's root, by one Newton step of its gap function h(t) =
     # E[Z E[c | Z]], whose slope is h'(t) = E[Z^2 E[w | Z]] > 0
@@ -709,7 +716,7 @@ def largem_rho_limit_check(dist: CovariateDistribution, f, c: float,
     accept a numpy array of points (it is called on whole node arrays).
     """
     links = _as_links(true_links, m)
-    distinct, index = group_links(links)
+    grouping = distinct, index = group_links(links)
     if avg_slope0 is None:
         avg_slope0 = float(np.bincount(index) @ np.array(
             [link_derivative(link, 0.0) for link in distinct]) / m)
@@ -720,7 +727,7 @@ def largem_rho_limit_check(dist: CovariateDistribution, f, c: float,
                                 distinct, c, root_m)
 
     def lhs_integrand(z):
-        plus, minus = _vote_tails(*_link_probs(links, c * z))
+        plus, minus = _vote_tails(*_link_probs(grouping, c * z))
         wrong = np.where(z > 0, minus, plus)  # 1 - rho_m(c z)
         return f(root_m * np.abs(z)) * wrong
 

@@ -11,12 +11,14 @@ from labelsim import (
     rho_m,
     sample_covariates,
     sample_dataset,
+    sample_label_counts,
     sample_labels,
     sample_majority_votes,
     scaled_logistic_link,
     stream_rng,
     tabulated_link,
 )
+from labelsim.datagen import LABEL_COUNT_CROSSOVER
 
 
 def _model(d=3, t_star=1.0, m=2):
@@ -206,3 +208,70 @@ def test_majority_votes_are_seeded_and_drawn_from_the_votes_stream():
     assert 0 < tied.sum() < 5000
     margin[tied] = np.where(rng.random(int(tied.sum())) < 0.5, 1, -1)
     assert votes[:, 0].tolist() == np.sign(margin).tolist()
+
+
+@pytest.mark.parametrize("dist", [isotropic_gaussian(4),
+                                  beta_regular(3, 0.5, np.array([1.0, 2.0, -2.0]))],
+                         ids=["gaussian", "beta-regular"])
+def test_sample_covariates_are_column_major_stream_draws(dist):
+    # column-major X holds the row-major stream draws, bit for bit
+    X = sample_covariates(dist, 5000, seed=3, trial=4)
+    assert X.flags.f_contiguous and not X.flags.c_contiguous
+    rng = stream_rng(3, 4, "covariates")
+    if dist.d == 4:
+        ref = rng.standard_normal((5000, 4))
+    else:
+        u = dist.direction
+        z = rng.gamma(dist.beta, 1.0, size=5000) * rng.choice([-1.0, 1.0], size=5000)
+        w = rng.standard_normal((5000, 3))
+        w -= np.outer(w @ u, u)
+        ref = np.outer(z, u) + w
+    assert ref.flags.c_contiguous and np.array_equal(X, ref)
+
+
+@pytest.mark.parametrize("links", [(logistic_link(),) * m for m in (1, 4, LABEL_COUNT_CROSSOVER - 1)]
+                         + [(scaled_logistic_link(0.2), scaled_logistic_link(10.0)) * 3],
+                         ids=["logistic m=1", "logistic m=4", "logistic below crossover",
+                              "slope 0.2/10 m=6"])
+def test_label_counts_below_crossover_count_sample_labels(links):
+    model = ModelSpec(theta_star=np.array([1.5, -0.5, 0.0]), links=links,
+                      covariates=isotropic_gaussian(3))
+    X = sample_covariates(model.covariates, 4000, seed=9)
+    counts = sample_label_counts(model, X, seed=9, trial=2)
+    assert counts.dtype == np.float64 and counts.shape == (4000,)
+    want = (sample_labels(model, X, seed=9, trial=2) == 1).sum(axis=1)
+    assert np.array_equal(counts, want)
+
+
+@pytest.mark.parametrize("links", [(logistic_link(),) * LABEL_COUNT_CROSSOVER,
+                                   (logistic_link(),) * 1024,
+                                   (scaled_logistic_link(0.2), scaled_logistic_link(10.0)) * 24],
+                         ids=["logistic at crossover", "logistic m=1024", "slope 0.2/10 m=48"])
+def test_label_counts_match_binomial_law(links):
+    # at or above the crossover each count is drawn from its law, a sum of
+    # one Binomial(M_g, p_g) per link group; at each fixed margin its mean
+    # and variance are checked within 4.5 standard errors of their own
+    # estimates, so this seeded check does not fail by chance
+    N = 100_000
+    margins = np.repeat([-0.6, 0.15, 0.8], N)
+    model = ModelSpec(theta_star=np.array([1.0, 0.0]), links=links,
+                      covariates=isotropic_gaussian(2))
+    X = np.column_stack([margins, np.zeros_like(margins)])
+    counts = sample_label_counts(model, X, seed=6, trial=1)
+    assert counts.dtype == np.float64
+    assert np.array_equal(counts, np.trunc(counts))
+    assert counts.min() >= 0 and counts.max() <= len(links)
+    for t in np.unique(margins):
+        k = counts[margins == t]
+        groups = [(links.count(link), link_eval(link, t)) for link in dict.fromkeys(links)]
+        mean = sum(M * p for M, p in groups)
+        var = sum(M * p * (1 - p) for M, p in groups)
+        # fourth central moment of a sum of independent binomials: its
+        # fourth cumulant M p q (1 - 6 p q) per group plus 3 var^2
+        mu4 = sum(M * p * (1 - p) * (1 - 6 * p * (1 - p)) for M, p in groups) + 3 * var ** 2
+        assert abs(k.mean() - mean) <= 4.5 * np.sqrt(var / N), (t, k.mean(), mean)
+        assert abs(k.var() - var) <= 4.5 * np.sqrt((mu4 - var ** 2) / N), (t, k.var(), var)
+    # one binomial per link group from the "labels" stream
+    if len(set(links)) == 1:
+        ref = stream_rng(6, 1, "labels").binomial(len(links), link_eval(links[0], margins))
+        assert np.array_equal(counts, ref)

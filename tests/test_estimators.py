@@ -6,6 +6,7 @@ import pytest
 
 from labelsim import (
     DimensionMismatch,
+    LabelCounts,
     LossSpec,
     ModelSpec,
     MultiLabelDataset,
@@ -29,6 +30,7 @@ from labelsim.estimators import (
     WARM_MIN_ROWS,
     WARM_STRIDE,
     NonConvergence,
+    _CountKernel,
     _hessian,
     _reduce,
 )
@@ -114,7 +116,7 @@ def test_kernel_matches_separate_link_formulas():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for spec, data in cases:
-            got = _reduce(spec, data.Y)(u)
+            got = _CountKernel(_reduce(spec, data.Y))(u)
             want = _reference_kernel(spec, data.Y, u)
             for g, w in zip(got, want):
                 g, w = np.asarray(g), np.asarray(w)
@@ -150,7 +152,7 @@ def test_count_kernel_groups_match_per_labeler_formulas():
         warnings.simplefilter("error")
         for links, one_sided, two_sided in cases:
             spec = LossSpec(links=links)
-            kernel = _reduce(spec, ds.Y)
+            kernel = _CountKernel(_reduce(spec, ds.Y))
             assert (len(kernel.one_sided), len(kernel.two_sided)) == (one_sided, two_sided)
             got = kernel(u)
             want = _reference_kernel(spec, Y, u)
@@ -160,7 +162,7 @@ def test_count_kernel_groups_match_per_labeler_formulas():
                 assert np.all(np.abs(g - w) <= np.maximum(1e-13 * np.abs(w), 1e-15)), links
             # separated iff every label has the sign of its row's margin
             assert not kernel.separated(u)
-            unanimous = _reduce(spec, Y[:5])
+            unanimous = _CountKernel(_reduce(spec, Y[:5]))
             assert unanimous.separated(np.array([1.0, 2.0, 3.0, -1.0, -2.0]))
             assert not unanimous.separated(np.array([1.0, 2.0, 0.0, -1.0, -2.0]))
 
@@ -173,7 +175,7 @@ def test_nearly_symmetric_table_stays_two_sided():
     near = tabulated_link(grid, values)
     assert not near.symmetric
     ds = MultiLabelDataset(X=np.zeros((4, 1)), Y=np.ones((4, 2)))
-    kernel = _reduce(LossSpec(links=(near, near)), ds.Y)
+    kernel = _CountKernel(_reduce(LossSpec(links=(near, near)), ds.Y))
     assert (len(kernel.one_sided), len(kernel.two_sided)) == (0, 1)
 
 
@@ -389,16 +391,19 @@ def test_fit_gradient_is_stationary_all_modes():
 
 
 def test_fit_is_bit_identical_on_c_and_f_ordered_covariates():
-    # fits read one contiguous copy of X^T, so the memory order of X cannot
-    # change a bit of the result
+    # fits read X^T as one C-contiguous array (a view of column-major X, a
+    # copy of row-major X), so the memory order of X cannot change a bit of
+    # the result
     model = ModelSpec(theta_star=np.array([1.0, -0.5, 0.25]),
                       links=(logistic_link(),) * 4,
                       covariates=isotropic_gaussian(3))
     for n in (300, 2 * WARM_MIN_ROWS):
         ds = sample_dataset(model, n, seed=21)
+        c_ds = MultiLabelDataset(X=np.ascontiguousarray(ds.X), Y=ds.Y)
         f_ds = MultiLabelDataset(X=np.asfortranarray(ds.X), Y=ds.Y)
+        assert c_ds.X.flags.c_contiguous and not c_ds.X.flags.f_contiguous
         assert f_ds.X.flags.f_contiguous and not f_ds.X.flags.c_contiguous
-        for (spec, c_data), (_, f_data) in zip(_all_fits(ds), _all_fits(f_ds)):
+        for (spec, c_data), (_, f_data) in zip(_all_fits(c_ds), _all_fits(f_ds)):
             c_res, f_res = fit(spec, c_data), fit(spec, f_data)
             assert c_res.theta_hat.tobytes() == f_res.theta_hat.tobytes(), spec
             assert dataclasses.replace(c_res, theta_hat=None) == \
@@ -421,3 +426,52 @@ def test_empty_dataset_rejected():
     with pytest.raises(ValueError):
         fit(LossSpec(),
             MultiLabelDataset(X=np.zeros((0, 2)), Y=np.zeros((0, 1))))
+
+
+def test_reduce_counts_equal_boolean_row_sums():
+    # the counts of one product per row block (links._count_positive) are
+    # the row sums of each link group's columns, exactly, in either memory
+    # order and across block boundaries (n = 2000 spans several blocks from
+    # m = 33 on)
+    rng = np.random.default_rng(29)
+    n = 2000
+    three = (logistic_link(), scaled_logistic_link(0.5), scaled_logistic_link(2.0))
+    for m in range(1, 71):
+        Y = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, m))
+        links = (three * m)[:m]
+        for labels in (Y, np.asfortranarray(Y)):
+            pooled = _reduce(LossSpec(), labels)
+            assert [(M, k.tolist()) for _, M, k in pooled] == \
+                [(m, (Y == 1).sum(axis=1).tolist())], m
+            per_labeler = _reduce(LossSpec(links=links), labels)
+            want = [(M, (Y[:, g::3] == 1).sum(axis=1).tolist())
+                    for g, M in enumerate(np.bincount(np.arange(m) % 3))]
+            assert [(M, k.tolist()) for _, M, k in per_labeler] == want, m
+
+
+def test_fit_on_label_counts_equals_fit_on_labels():
+    # a pooled loss reads only each row's +1 count, so a fit on LabelCounts
+    # is the fit on the labels, bit for bit, with and without a warm start
+    model = ModelSpec(theta_star=np.array([1.5, -0.5, 0.25]),
+                      links=(logistic_link(),) * 5,
+                      covariates=isotropic_gaussian(3))
+    for n in (300, 2 * WARM_MIN_ROWS + 5):
+        ds = sample_dataset(model, n, seed=8)
+        counts = LabelCounts(X=ds.X, counts=(ds.Y == 1).sum(axis=1), m=ds.m)
+        for spec in (LossSpec(), LossSpec(model_link=scaled_logistic_link(2.0))):
+            want, got = fit(spec, ds), fit(spec, counts)
+            assert got.theta_hat.tobytes() == want.theta_hat.tobytes()
+            assert (got.iterations, got.warm_iterations, got.stop_reason) == \
+                (want.iterations, want.warm_iterations, want.stop_reason)
+            assert got.warm_iterations > 0 if n > WARM_MIN_ROWS else got.warm_iterations == 0
+            theta = np.array([0.3, 0.2, -0.1])
+            assert loss_value(spec, theta, counts) == loss_value(spec, theta, ds)
+        # a per-labeler loss needs each labeler's labels
+        with pytest.raises(ValueError, match="per-labeler"):
+            fit(LossSpec(links=(logistic_link(),) * 5), counts)
+    X = np.zeros((3, 2))
+    for bad in ([0, 1, 4], [0, -1, 2], [0, 1.5, 2]):
+        with pytest.raises(ValueError):
+            LabelCounts(X=X, counts=bad, m=3)
+    with pytest.raises(ValueError):
+        LabelCounts(X=X, counts=[0, 1], m=3)

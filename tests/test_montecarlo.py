@@ -11,6 +11,7 @@ import pytest
 
 from labelsim import (
     ExperimentConfig,
+    LabelCounts,
     LossSpec,
     ModelSpec,
     MultiLabelDataset,
@@ -24,12 +25,14 @@ from labelsim import (
     run_experiment,
     sample_covariates,
     sample_dataset,
+    sample_label_counts,
     sample_majority_votes,
     scaled_logistic_link,
     scaling_study,
     semiparametric_fit,
     tabulated_link,
 )
+from labelsim.datagen import LABEL_COUNT_CROSSOVER
 from labelsim.montecarlo import _replicate_links
 
 LR = logistic_link()
@@ -247,6 +250,21 @@ def test_trials_draw_from_the_public_samplers():
                                           config.split_fraction,
                                           config.isotonic).fit.u_hat
             assert np.array_equal(summary.u_hats[t], want), (estimator, t)
+
+
+def test_multilabel_trials_fit_drawn_label_counts():
+    # at and above the crossover a multi-label trial fits the counts that
+    # sample_label_counts draws from their law on sample_covariates' X
+    n, seed, trials = 3000, 12, 2
+    config = _config(n=n, trials=trials, m=LABEL_COUNT_CROSSOVER, t_star=2.0,
+                     seed=seed)
+    model = config.model
+    summary = run_experiment(config)
+    for t in range(trials):
+        X = sample_covariates(model.covariates, n, seed, t)
+        counts = LabelCounts(X=X, counts=sample_label_counts(model, X, seed, t),
+                             m=model.m)
+        assert np.array_equal(summary.u_hats[t], fit(LossSpec(), counts).u_hat), t
 
 
 def test_scaling_study_raises_for_the_first_m_over_the_cap():

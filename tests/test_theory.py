@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special, stats
 
-from labelsim import theory
+from labelsim import datagen, theory
 from labelsim.estimators import _CountKernel, _reduce
-from labelsim.links import mirror_symmetric
+from labelsim.links import group_links, mirror_symmetric
 
 from labelsim import (
     BracketNotFound,
@@ -38,7 +38,11 @@ from labelsim import (
     predict_covariance,
     pseudo_inverse_decomp,
     rho_m,
+    sample_covariates,
     sample_dataset,
+    sample_label_counts,
+    sample_labels,
+    sample_majority_votes,
     scaled_logistic_link,
     solve_tm,
     tabulated_link,
@@ -713,7 +717,7 @@ def test_crowd_prediction_matches_crowd_loss_sandwich():
         ds = sample_dataset(model, n, seed=12)
         if kind is PredictionKind.MAJORITY_VOTE_EXACT:  # fit the vote column
             ds = MultiLabelDataset(X=ds.X, Y=majority_vote_matrix(ds.Y, 0))
-        kernel = _reduce(spec, ds.Y)
+        kernel = _CountKernel(_reduce(spec, ds.Y))
         _, coef, w = kernel(ds.X @ (pred.t_m * model.u_star))
         v, h = (coef * kernel.scale) ** 2, w * kernel.scale
         a, b = v.mean(), h.mean()
@@ -945,3 +949,29 @@ def test_rho_limit_lemma_m1_exact_form():
         lambda z: np.abs(z) * (1.0 - link_eval(LR, c * np.abs(z))))
     out = largem_rho_limit_check(GAUSS3, lambda z: z, c, LR, m=1)
     assert out["lhs"] == pytest.approx(direct, abs=1e-8)
+
+
+def test_links_are_grouped_once_per_gap_function_and_draw(monkeypatch):
+    # group_links compares each of the m links with the distinct ones seen:
+    # predict_covariance groups them once for its gap function and once for
+    # the coarse copy, and each label, count or vote draw once
+    calls = []
+
+    def counted(links):
+        calls.append(len(links))
+        return group_links(links)
+
+    for module in (theory, datagen):
+        monkeypatch.setattr(module, "group_links", counted)
+    model = ModelSpec(theta_star=np.array([2.0, 0.0, 0.0]),
+                      links=(scaled_logistic_link(0.5), LR) * 32, covariates=GAUSS3)
+    for kind in (PredictionKind.MULTI_LABEL_EXACT, PredictionKind.MAJORITY_VOTE_EXACT,
+                 PredictionKind.SEMIPARAMETRIC, PredictionKind.CROWDSOURCING):
+        calls.clear()
+        predict_covariance(kind, model)
+        assert calls == [64, 64], kind
+    X = sample_covariates(GAUSS3, 500, seed=1)
+    for sample in (sample_labels, sample_label_counts, sample_majority_votes):
+        calls.clear()
+        sample(model, X, seed=1)
+        assert calls == [64], sample.__name__
