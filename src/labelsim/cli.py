@@ -21,7 +21,6 @@ import numpy as np
 from .datagen import sample_dataset
 from .estimators import DIVERGENCE_THRESHOLD, GRAD_TOL, SolverOptions
 from .links import (
-    LinkSpec,
     ModelSpec,
     MultiLabelDataset,
     beta_regular,
@@ -34,6 +33,7 @@ from .montecarlo import (
     _THEORY_KIND,
     ExperimentConfig,
     TooFewIncludedTrials,
+    _replicate_links,
     empirical_multiplier,
     run_experiment,
     scaling_study,
@@ -58,10 +58,7 @@ DEFAULTS = {
     "t_star": "1.0",
     "covariates": "gaussian",
     "beta": "1.0",
-    "link": "logistic",
     "link_alpha": "1.0",
-    "alpha": "",
-    "model_link": "logistic",
     "model_link_alpha": "1.0",
     "m_values": "",
     "split_fraction": "0.1",
@@ -109,17 +106,6 @@ def _cfg_float(cfg, key):
         raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from exc
 
 
-def _make_link(kind: str, alpha: float, key: str) -> LinkSpec:
-    if kind == "logistic":
-        if alpha != 1.0:
-            raise ConfigError(f"{key}=logistic is the alpha = 1 link; "
-                              f"use scaled-logistic for {key}_alpha={alpha!r}")
-        return logistic_link()
-    if kind == "scaled-logistic":
-        return scaled_logistic_link(alpha)
-    raise ConfigError(f"unknown link family {kind!r}")
-
-
 def _theta(d: int, t_star: float) -> np.ndarray:
     """theta* = t_star e_1 in R^d."""
     if d < 1:
@@ -131,16 +117,20 @@ def _theta(d: int, t_star: float) -> np.ndarray:
     return theta
 
 
-def _build_model(cfg: dict) -> ModelSpec:
+def _build_model(cfg: dict, study: bool = False) -> ModelSpec:
+    """The model of a config. The link_alpha slopes a_0 .. a_{k-1} give
+    labeler i the link scaled_logistic_link(a_{i mod k}), cycled to m; a
+    scaling study (``study``) takes the k links as its base, which
+    scaling_study cycles to each m."""
     d = _cfg_int(cfg, "d")
-    m = _cfg_int(cfg, "m")
     theta = _theta(d, _cfg_float(cfg, "t_star"))
-    if cfg["alpha"]:
-        alphas = [float(a) for a in cfg["alpha"].split(",")]
-        links = tuple(scaled_logistic_link(a) for a in alphas)
-    else:
-        link = _make_link(cfg["link"], _cfg_float(cfg, "link_alpha"), "link")
-        links = (link,) * m
+    links = tuple(scaled_logistic_link(_cfg_float({"link_alpha": a}, "link_alpha"))
+                  for a in cfg["link_alpha"].split(","))
+    if not study:
+        m = _cfg_int(cfg, "m")
+        if len(links) > m:
+            raise ConfigError(f"{len(links)} link slopes for m={m} labelers")
+        links = _replicate_links(links, m)
     if cfg["covariates"] == "gaussian":
         dist = isotropic_gaussian(d)
     elif cfg["covariates"] == "beta-regular":
@@ -172,13 +162,16 @@ def _write_lines(path: str | None, lines: list[str]):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_simulate(config_path: str, output: str | None = None) -> int:
     cfg = _parse_config_file(config_path)
-    model = _build_model(cfg)
+    model = _build_model(cfg, study=bool(cfg["m_values"]))
     out_path = output or cfg["output"]
     base = ExperimentConfig(
         model=model,
@@ -186,8 +179,7 @@ def cmd_simulate(config_path: str, output: str | None = None) -> int:
         n=_cfg_int(cfg, "n"),
         trials=_cfg_int(cfg, "trials"),
         seed=_cfg_int(cfg, "seed"),
-        model_link=_make_link(cfg["model_link"], _cfg_float(cfg, "model_link_alpha"),
-                              "model_link"),
+        model_link=scaled_logistic_link(_cfg_float(cfg, "model_link_alpha")),
         split_fraction=_cfg_float(cfg, "split_fraction"),
         isotonic=IsotonicFitOptions(lipschitz=_cfg_float(cfg, "lipschitz"),
                                     grid_size=_cfg_int(cfg, "grid_size")),
@@ -256,10 +248,7 @@ def cmd_theory(args) -> int:
     cfg = dict(DEFAULTS)
     cfg.update({
         "m": str(args.m), "d": str(args.d), "t_star": str(args.tstar),
-        # equal to the logistic link at the default --link-alpha 1
-        "link": "scaled-logistic",
-        "beta": str(args.beta), "link_alpha": str(args.link_alpha),
-        "alpha": args.alpha or "",
+        "beta": str(args.beta), "link_alpha": args.link_alpha,
         "covariates": args.covariates,
     })
     model = _build_model(cfg)
@@ -365,8 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_th.add_argument("--beta", type=float, default=1.0)
     p_th.add_argument("--covariates", choices=["gaussian", "beta-regular"],
                       default="gaussian")
-    p_th.add_argument("--link-alpha", type=float, default=1.0)
-    p_th.add_argument("--alpha", default="")
+    p_th.add_argument("--link-alpha", default=DEFAULTS["link_alpha"],
+                      help="comma list of labeler link slopes, cycled to --m")
     p_th.add_argument("--impossibility", action="store_true")
     p_th.add_argument("--output", default=None)
 

@@ -571,8 +571,9 @@ class TheoryPrediction:
     ``t_m_error`` and ``multiplier_error`` are absolute error estimates: the
     change between the same quadrature panels at two orders, plus rounding
     and, for t_m, the root finder's tolerance. ``root_iterations`` counts
-    the bracket expansions and Brent iterations of the t_m solve, which
-    every kind runs (one iteration when a bracket end is an exact root).
+    the bracket expansions and the Newton or bisection iterations of the
+    t_m solve, which every kind runs; the evaluation at the upper bracket
+    end is the first, so an exact root there reports one.
     """
 
     kind: str

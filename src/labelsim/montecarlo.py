@@ -286,7 +286,8 @@ def _replicate_links(links: tuple[LinkSpec, ...], m: int) -> tuple[LinkSpec, ...
 def scaling_study(base: ExperimentConfig, m_values) -> ScalingStudy:
     """Run the base experiment at each labeler count and fit the log-log
     slope of the empirical multiplier against m; each row holds the run's
-    theory prediction (``run_experiment``) beside it.
+    theory prediction (``run_experiment``) beside it. ``m_values`` must be
+    strictly ascending, else ValueError before any trial runs.
 
     At each m the base links are cycled to length m (a base of k links gives
     links[i % k] to labeler i), so a k-link base keeps its average true link
@@ -299,8 +300,8 @@ def scaling_study(base: ExperimentConfig, m_values) -> ScalingStudy:
     exclusion cap raises TooFewIncludedTrials only after the last trial,
     for the first such m."""
     m_values = list(m_values)
-    if m_values != sorted(m_values):
-        raise ValueError("m_values must be ascending")
+    if any(a >= b for a, b in zip(m_values, m_values[1:])):
+        raise ValueError(f"m_values must be strictly ascending, got {m_values}")
     configs = [dataclasses.replace(base, model=ModelSpec(
         theta_star=base.model.theta_star,
         links=_replicate_links(base.model.links, m),

@@ -31,7 +31,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .links import (
     CovariateDistribution,
@@ -77,6 +77,7 @@ HALFLINE_DOUBLINGS = 40  # and double that stop at most this many times
 TAIL_SHARE = 1e-10     # largest share of a half-line integral its last panel may hold
 ROOT_XTOL = 1e-12
 ROOT_RTOL = 4 * np.finfo(float).eps
+ROOT_MAXITER = 100     # Newton or bisection steps of one t_m solve
 ROUNDOFF = 1e-12       # relative floor of the error estimates (round-off in
                        # the node sums, the links and the binomial tails)
 
@@ -511,29 +512,37 @@ class GapFunction:
 
     @cached_property
     def root(self) -> tuple[float, int]:
-        """(t_m, bracket expansions + Brent iterations); see solve_tm. An
-        upper bracket end that is an exact root (t_m = t* on symmetric
-        fixed links) is returned without Brent's method, as one iteration."""
-        lo, f_lo = 0.0, gap_eval(self, 0.0)
-        if f_lo >= 0.0:
+        """(t_m, bracket expansions + Newton or bisection iterations); see
+        solve_tm. The evaluation at the upper bracket end counts as one
+        iteration, so an exact root there (t_m = t* on symmetric fixed
+        links) reports one."""
+        if gap_eval(self, 0.0) >= 0.0:
             return 0.0, 0
-        hi = max(self.t_star, 1e-3)
+        lo, hi = 0.0, max(self.t_star, 1e-3)
         expansions = 0
-        f_hi = gap_eval(self, hi)
-        while f_hi < 0.0:
+        h, slope = _gap_and_slope(self, hi)
+        while h < 0.0:
             lo = hi
             hi *= 2.0
             expansions += 1
             if hi > 1e6:
                 raise BracketNotFound(
                     "gap function stays negative up to the bracket cap 1e6")
-            f_hi = gap_eval(self, hi)
-        if f_hi == 0.0:
-            return hi, expansions + 1
-        t_m, result = optimize.brentq(lambda t: gap_eval(self, t), lo, hi,
-                                      xtol=ROOT_XTOL, rtol=ROOT_RTOL,
-                                      full_output=True)
-        return t_m, expansions + result.iterations
+            h, slope = _gap_and_slope(self, hi)
+        t = hi
+        for iterations in range(expansions + 1, expansions + ROOT_MAXITER + 1):
+            step = h / slope
+            # the last step is taken: its error is about its square
+            if abs(step) <= ROOT_XTOL + ROOT_RTOL * t:
+                return t - step, iterations
+            if h > 0.0:
+                hi = t
+            else:
+                lo = t
+            t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+            h, slope = _gap_and_slope(self, t)
+        raise RuntimeError(f"t_m solve did not converge in {ROOT_MAXITER} "
+                           f"iterations (bracket [{lo!r}, {hi!r}])")
 
 
 def gap_eval(g: GapFunction, t: float) -> float:
@@ -541,10 +550,20 @@ def gap_eval(g: GapFunction, t: float) -> float:
     return g.engine.expect(lambda z: z * _kernel_moments(g._groups, t, z)[0])
 
 
+def _gap_and_slope(g: GapFunction, t: float) -> tuple[float, float]:
+    """(h(t), h'(t)) = (E[Z E[c | Z]], E[Z^2 E[w | Z]]) of the gap function,
+    from one _kernel_moments call on the engine's nodes."""
+    mean, _, weight = _kernel_moments(g._groups, t, g.engine.nodes)
+    return (g.engine.expect(lambda z: z * mean),
+            g.engine.expect(lambda z: z * z * weight))
+
+
 def solve_tm(g: GapFunction) -> float:
-    """Unique root of the gap function, found by doubling the upper bracket
-    from t* and refining with Brent's method to 1e-12. The root and its
-    iteration count are solved once per gap function (``g.root``)."""
+    """Unique root of the gap function: the upper bracket doubles from t*
+    until the gap is nonnegative there, and a safeguarded Newton solve
+    from that end (a step that leaves the bracket bisects it instead)
+    stops once the step is within ROOT_XTOL + ROOT_RTOL t. The root and
+    its iteration count are solved once per gap function (``g.root``)."""
     return g.root[0]
 
 
@@ -603,12 +622,10 @@ def predict_covariance(kind: PredictionKind, model: ModelSpec,
         raise ValueError("well-specified theory needs one link shared by "
                          "every labeler")
     t_m = solve_tm(g)
-    # the coarse rule's root, by one Newton step of its gap function h(t) =
-    # E[Z E[c | Z]], whose slope is h'(t) = E[Z^2 E[w | Z]] > 0
+    # the coarse rule's root, by one Newton step of its gap function
     coarse = g.coarse
-    mean, _, weight = _kernel_moments(coarse._groups, t_m, coarse.engine.nodes)
-    coarse_t_m = t_m - (coarse.engine.expect(lambda z: z * mean)
-                        / coarse.engine.expect(lambda z: z * z * weight))
+    h, slope = _gap_and_slope(coarse, t_m)
+    coarse_t_m = t_m - h / slope
     mult = _sandwich(g.engine, g._groups, t_m)
     coarse_mult = _sandwich(coarse.engine, coarse._groups, coarse_t_m)
     base = _projected_pinv(model.covariates, model.u_star)

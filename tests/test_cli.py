@@ -1,16 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from labelsim import (
+    ExperimentConfig,
     ModelSpec,
     PredictionKind,
     isotropic_gaussian,
     predict_covariance,
+    run_experiment,
     scaled_logistic_link,
+    scaling_study,
 )
-from labelsim.cli import ConfigError, cmd_ingest, main
+from labelsim import cli
+from labelsim.cli import DEFAULTS, ConfigError, cmd_ingest, main
 from labelsim.estimators import DIVERGENCE_THRESHOLD, GRAD_TOL, SolverOptions
 
 
@@ -204,19 +212,124 @@ def test_theory_crowd_link_alpha_equals_alpha_list(tmp_path):
     # crowd prediction reads
     by_link_alpha = _theory_multiplier(tmp_path, "la", "--kind", "crowd", "--m", "3",
                                        "--link-alpha", "3.0")
-    by_list = _theory_multiplier(tmp_path, "al", "--kind", "crowd",
-                                 "--alpha", "3,3,3")
+    by_list = _theory_multiplier(tmp_path, "al", "--kind", "crowd", "--m", "3",
+                                 "--link-alpha", "3,3,3")
     assert by_link_alpha == by_list
     assert by_link_alpha != _theory_multiplier(tmp_path, "one", "--kind", "crowd",
                                                "--m", "3")
 
 
-@pytest.mark.parametrize("key", ["link", "model_link"])
-def test_logistic_with_alpha_other_than_one_is_config_error(tmp_path, capsys, key):
-    config = _minimal_config(tmp_path, str(tmp_path / "out.csv"),
-                             extra=f"{key}=logistic\n{key}_alpha=3.0")
+@pytest.mark.parametrize("key", ["link", "model_link", "alpha"])
+def test_removed_link_keys_are_unknown_keys(tmp_path, capsys, key):
+    # link_alpha and model_link_alpha alone set the links: the family keys
+    # and the old slope list are unknown keys, named with their line
+    config = _write(tmp_path / "c.txt", f"n=100\n{key}=logistic\n")
     assert main(["simulate", config]) == 2
-    assert f"{key}_alpha=3.0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unknown key {key!r}" in err and "c.txt:2" in err
+
+
+def test_theory_has_no_alpha_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theory", "--kind", "crowd", "--alpha", "0.5,1,2"])
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
+def test_more_link_slopes_than_labelers_is_config_error(tmp_path, capsys):
+    assert main(["theory", "--kind", "crowd", "--link-alpha", "0.5,1,2"]) == 2
+    assert "3 link slopes for m=1 labelers" in capsys.readouterr().err
+    config = _minimal_config(tmp_path, str(tmp_path / "r.csv"),
+                             extra="m=2\nlink_alpha=0.5,1,2")
+    assert main(["simulate", config]) == 2
+    assert "3 link slopes for m=2 labelers" in capsys.readouterr().err
+
+
+def test_link_slope_must_be_a_number(tmp_path, capsys):
+    config = _minimal_config(tmp_path, str(tmp_path / "r.csv"),
+                             extra="m=2\nlink_alpha=0.5,x")
+    assert main(["simulate", config]) == 2
+    assert "link_alpha must be a number, got 'x'" in capsys.readouterr().err
+
+
+def test_link_slopes_are_cycled_to_m(tmp_path):
+    # slopes (0.2, 10) at m=16 are the links (0.2, 10) x 8: the CLI's rows
+    # are run_experiment's u_hats, bit for bit
+    out = str(tmp_path / "r.csv")
+    config = _minimal_config(tmp_path, out, extra="m=16\nlink_alpha=0.2,10")
+    assert main(["simulate", config]) == 0
+    model = ModelSpec(theta_star=np.array([1.0, 0.0]),
+                      links=(scaled_logistic_link(0.2), scaled_logistic_link(10.0)) * 8,
+                      covariates=isotropic_gaussian(2))
+    want = run_experiment(ExperimentConfig(model=model, estimator="multilabel",
+                                           n=500, trials=5, seed=7))
+    rows = [line.split(",") for line in open(out).read().splitlines()
+            if not line.startswith("#")][1:]
+    got = np.array([[float(v) if v else np.nan for v in row[2:]] for row in rows])
+    assert np.array_equal(got, want.u_hats, equal_nan=True)
+    assert "# link_alpha=0.2,10" in open(out).read().splitlines()
+
+
+def test_scaling_study_cycles_the_link_slopes_as_its_base(tmp_path):
+    # in a study the slope list is the base that scaling_study cycles to
+    # each m, so two slopes need no m=2
+    out = str(tmp_path / "s.csv")
+    config = _minimal_config(tmp_path, out,
+                             extra="m_values=2,4\nlink_alpha=0.2,10\nn=1000")
+    assert main(["simulate", config]) == 0
+    model = ModelSpec(theta_star=np.array([1.0, 0.0]),
+                      links=(scaled_logistic_link(0.2), scaled_logistic_link(10.0)),
+                      covariates=isotropic_gaussian(2))
+    study = scaling_study(ExperimentConfig(model=model, estimator="multilabel",
+                                           n=1000, trials=5, seed=7), [2, 4])
+    summary = json.loads(open(out + ".summary.json").read())
+    assert [row["t_m"] for row in summary["rows"]] == [row["t_m"] for row in study.rows]
+    assert [row["empirical_multiplier"] for row in summary["rows"]] \
+        == [row["empirical_multiplier"] for row in study.rows]
+
+
+def test_repeated_labeler_counts_are_config_error(tmp_path, capsys):
+    config = _minimal_config(tmp_path, str(tmp_path / "r.csv"), extra="m_values=4,4")
+    assert main(["simulate", config]) == 2
+    assert "strictly ascending" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "theory", "semiparam"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "r.csv")
+    if command == "theory":
+        argv = ["theory", "--output", out]
+    else:
+        argv = [command, _minimal_config(tmp_path, out, extra="trials=2\nn=200"),
+                "--output", out]
+    assert main(argv) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
+def test_readme_config_block_equals_defaults():
+    # the README's "Keys and defaults" block: every key=value token outside
+    # a comment, in any order, is one entry of cli.DEFAULTS
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("Keys and defaults:", 1)[1].split("```")[1]
+    tokens = [tok for line in block.splitlines()
+              for tok in line.split("#", 1)[0].split()]
+    assert all("=" in tok for tok in tokens), tokens
+    pairs = [tok.split("=", 1) for tok in tokens]
+    assert len(pairs) == len(DEFAULTS)
+    assert dict(pairs) == DEFAULTS
+
+
+def test_import_does_not_load_scipy_optimize():
+    # the t_m root is labelsim's own Newton solve; scipy.optimize is a
+    # third of the import time and no module needs it
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, labelsim.cli; print('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_theory_semiparam_row_is_plain_numbers(tmp_path):
@@ -243,10 +356,10 @@ def test_theory_well_specified_rejects_unequal_links(tmp_path, capsys):
     # are an error in either order, and equal ones keep their multiplier
     for alphas in ("0.5,1,2", "2,1,0.5"):
         assert main(["theory", "--kind", "well-specified", "--m", "3",
-                     "--alpha", alphas]) == 2
+                     "--link-alpha", alphas]) == 2
         assert "one link shared by every labeler" in capsys.readouterr().err
     assert _theory_multiplier(tmp_path, "ws", "--kind", "well-specified",
-                              "--m", "3", "--alpha", "1,1,1") == "1.6132599841340414"
+                              "--m", "3", "--link-alpha", "1,1,1") == "1.6132599841340414"
 
 
 def test_theory_impossibility_discrepancy_tiny(tmp_path):

@@ -189,6 +189,17 @@ def test_scaling_study_slope_well_specified():
         scaling_study(base, [4, 1])
 
 
+def test_scaling_study_rejects_repeated_labeler_counts(monkeypatch):
+    # m=4 twice fits no slope (polyfit on equal x): refused before any trial
+    def no_trials(configs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(montecarlo, "_run_experiments", no_trials)
+    base = _config(n=500, trials=2)
+    for m_values in ([4, 4], [1, 4, 4, 16]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            scaling_study(base, m_values)
+
+
 def _per_m_study(base, m_values):
     """The m-major scaling study, kept as the reference: one run_experiment
     per labeler count, each drawing its trials' covariates anew."""

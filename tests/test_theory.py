@@ -653,8 +653,8 @@ def test_fixed_link_kinds_solve_to_t_star_on_symmetric_links():
             label = (kind.value, links[0].family.value, len(links), t_star)
             assert gap_eval(g, t_star) == 0.0, label
             assert pred.t_m == t_star, label
-            # the first bracket end is the root: one iteration, a count that
-            # does not depend on what brentq would have left unset
+            # the first bracket end is the root: its evaluation is the one
+            # iteration
             assert pred.root_iterations == 1, label
 
 
