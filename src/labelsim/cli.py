@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -169,10 +170,25 @@ def _write_lines(path: str | None, lines: list[str]):
             raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_writable(path: str):
+    """Raise the ConfigError of ``_write_lines`` before any work when
+    ``path`` cannot be written: it is opened for appending, so a file that
+    exists keeps its contents, and removed again when this made it."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def cmd_simulate(config_path: str, output: str | None = None) -> int:
     cfg = _parse_config_file(config_path)
     model = _build_model(cfg, study=bool(cfg["m_values"]))
     out_path = output or cfg["output"]
+    for path in (out_path, out_path + ".summary.json"):
+        _check_writable(path)
     base = ExperimentConfig(
         model=model,
         estimator=cfg["estimator"],
@@ -266,6 +282,7 @@ def cmd_semiparam(config_path: str, output: str | None = None) -> int:
     cfg = _parse_config_file(config_path)
     model = _build_model(cfg)
     out_path = output or cfg["output"]
+    _check_writable(out_path)
     dataset = sample_dataset(model, _cfg_int(cfg, "n"), _cfg_int(cfg, "seed"))
     result = semiparametric_fit(
         dataset, _cfg_float(cfg, "split_fraction"),

@@ -2,14 +2,20 @@
 majority votes.
 
 Every sampling routine derives an independent RNG stream from
-(seed, trial, purpose), so parallel trial generation stays reproducible.
-Covariates come back column-major, so X^T is a C-contiguous d x n view:
-the layout in which ``estimators.fit`` and each sampler's X theta* run
-along the long axis. A pooled fit reads only each row's count of +1
-labels: Monte Carlo multi-label trials draw those counts
-(``sample_label_counts``), majority-vote trials their n x 1 vote column
-(``sample_majority_votes``), and per-labeler estimators the n x m labels
-(``sample_labels``).
+(seed, trial, purpose), so a draw is the same whichever thread makes it
+and in whatever order (the Monte Carlo engine draws the next dataset on a
+helper thread while the current one is fitted). Covariates come back
+column-major, so X^T is a C-contiguous d x n view: the layout in which
+``estimators.fit`` and each sampler's X theta* run along the long axis.
+Gaussian covariates and the labels' uniforms are drawn in row blocks of
+at most ``links.COUNT_BLOCK`` numbers, in stream order, and written
+straight into their result: the bits of one whole draw, with one block of
+temporaries instead of a second n x d or an n x m float64 copy.
+
+A pooled fit reads only each row's count of +1 labels: Monte Carlo
+multi-label trials draw those counts (``sample_label_counts``),
+majority-vote trials their n x 1 vote column (``sample_majority_votes``),
+and per-labeler estimators the n x m labels (``sample_labels``).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import zlib
 import numpy as np
 
 from .links import (
+    COUNT_BLOCK,
     CovariateDistribution,
     CovariateKind,
     ModelSpec,
@@ -57,18 +64,31 @@ def sample_covariates(dist: CovariateDistribution, n: int, seed: int, trial: int
     """Draw n i.i.d. covariate rows; deterministic given (seed, trial).
 
     The rows are drawn in stream order and returned in column-major
-    (Fortran) order: the same values, bit for bit, for one n x d copy, so
-    that X^T is a C-contiguous view for every fit of the trial."""
+    (Fortran) order, so that X^T is a C-contiguous view for every fit of
+    the trial. Gaussian rows are drawn in blocks of at most ``COUNT_BLOCK``
+    numbers and written into X block by block: the values, bit for bit, of
+    one row-major n x d draw, without that n x d copy. The beta-regular
+    branch draws its gammas, signs and normals whole, in that order."""
     if n < 1:
         raise ValueError("need n >= 1")
     rng = stream_rng(seed, trial, "covariates")
     if dist.kind is CovariateKind.ISOTROPIC_GAUSSIAN:
-        return np.asfortranarray(rng.standard_normal((n, dist.d)))
+        X = np.empty((n, dist.d), order="F")
+        for block in _row_blocks(n, dist.d):
+            X[block] = rng.standard_normal((block.stop - block.start, dist.d))
+        return X
     u = dist.direction
     z = rng.gamma(dist.beta, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
     w = rng.standard_normal((n, dist.d))
     w -= np.outer(w @ u, u)
     return np.asfortranarray(np.outer(z, u) + w)
+
+
+def _row_blocks(n: int, width: int):
+    """Slices of consecutive rows, each at most ``COUNT_BLOCK`` numbers of
+    an n x width array (at least one row), covering its n rows in order."""
+    rows = max(1, COUNT_BLOCK // width)
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
 def _covariates(model: ModelSpec, X) -> np.ndarray:
@@ -80,32 +100,39 @@ def _covariates(model: ModelSpec, X) -> np.ndarray:
 
 def _positive_labels(model: ModelSpec, X: np.ndarray, rng: np.random.Generator,
                      grouping) -> np.ndarray:
-    """The n x m booleans Y_ij = +1: one n x m matrix of uniforms from
-    ``rng``, +1 where u_ij < p_ij, each link group (``grouping``, from
-    ``group_links``) evaluated once and compared with all of its columns in
-    one broadcast (the whole matrix when every labeler shares one link)."""
+    """The n x m booleans Y_ij = +1, where u_ij < p_ij for uniforms u from
+    ``rng``. The uniforms are drawn in row blocks of at most ``COUNT_BLOCK``
+    numbers, in stream order (the bits of one n x m draw), and each block
+    is compared into its rows of the result, so the draw holds one block
+    of float64 uniforms, not n x m of them. Each link group (``grouping``,
+    from ``group_links``) is evaluated once over the n margins and compared
+    with all of its columns in one broadcast (the whole block when every
+    labeler shares one link)."""
     margins = X @ model.theta_star
     n, m = X.shape[0], model.m
-    uniforms = rng.random((n, m))
     distinct, index = grouping
-    if len(distinct) == 1:
-        return uniforms < link_eval(distinct[0], margins)[:, None]
+    probs = [link_eval(link, margins)[:, None] for link in distinct]
+    columns = ([slice(None)] if len(distinct) == 1
+               else [np.flatnonzero(index == g) for g in range(len(distinct))])
     positive = np.empty((n, m), dtype=bool)
-    for g, link in enumerate(distinct):
-        cols = np.flatnonzero(index == g)
-        positive[:, cols] = uniforms[:, cols] < link_eval(link, margins)[:, None]
+    for block in _row_blocks(n, m):
+        uniforms = rng.random((block.stop - block.start, m))
+        for p, cols in zip(probs, columns):
+            positive[block, cols] = uniforms[:, cols] < p[block]
     return positive
 
 
 def sample_labels(model: ModelSpec, X: np.ndarray, seed: int, trial: int = 0) -> np.ndarray:
     """Draw Y_ij = +1 with probability sigma_j(<theta*, x_i>), i.i.d. given X.
 
-    One n x m matrix of uniforms is drawn from the ``"labels"`` stream, and
+    An n x m matrix of uniforms is drawn from the ``"labels"`` stream, and
     Y_ij = +1 where u_ij < p_ij. Labelers with equal links form one group:
     the link is evaluated once per group and compared with all of the
-    group's columns in one broadcast (the whole matrix when every labeler
-    shares one link). The result is a C-contiguous int8 n x m matrix of
-    +-1.
+    group's columns in one broadcast. The uniforms are drawn and compared
+    one row block at a time (``_positive_labels``), so the draw holds the
+    labels and one block of uniforms (512 KiB), not the n x m float64
+    matrix (164 MB at n = 20000, m = 1024, for 20 MB of labels). The
+    result is a C-contiguous int8 n x m matrix of +-1.
     """
     X = _covariates(model, X)
     positive = _positive_labels(model, X, stream_rng(seed, trial, "labels"),
@@ -129,8 +156,8 @@ def sample_label_counts(model: ModelSpec, X: np.ndarray, seed: int,
     X, seed, trial) == 1).sum(1)`` exactly. At or above it, the count is
     drawn from its law: one Binomial(M_g, p_g) per link group of M_g
     labelers that are +1 with probability p_g, summed. That costs O(n G)
-    for G groups instead of O(n m) and never builds the n x m uniforms (164
-    MB at n = 20000, m = 1024); its draws differ from those of the labels.
+    for G groups instead of O(n m) and never builds the n x m labels; its
+    draws differ from those of the labels.
     """
     X = _covariates(model, X)
     rng = stream_rng(seed, trial, "labels")

@@ -28,10 +28,11 @@ sum_g M_g v_g. Any other group keeps the two-sided form, evaluated at u and
 per side through ``links.link_terms`` (S, sigma and sigma' together).
 
 ``fit`` counts the labels once, one product per call (``_reduce``), and
-reads X^T as a C-contiguous d x n array XT, on which the margins theta XT,
-the gradient XT c and the Hessian (``_hessian``) all run along the long n
-axis: a view of column-major X (as ``sample_covariates`` draws it), else
-one copy. It then runs one
+reads X^T as a d x n array XT with contiguous rows, on which the margins
+theta XT, the gradient XT c and the Hessian (``_hessian``) all run along
+the long n axis: a view of column-major X (as ``sample_covariates`` draws
+it) or of a row slice of it (a semiparametric or crowd stage), else one
+copy. It then runs one
 damped Newton loop (``_newton``) until the gradient norm reaches
 ``GRAD_TOL``, theta diverges, no step decreases the loss, ``max_iters``
 runs out, or the Newton decrement lambda^2 = g^T H^{-1} g falls to the
@@ -163,14 +164,16 @@ def link_loss(link: LinkSpec, theta, x, y) -> float:
 
 class _CountKernel:
     """The loss of n rows whose labels fall in link groups, ``groups``
-    listing each group's (link, M_g, k_g). ``kernel(u)`` returns (loss, c,
-    w): the mean loss over the n sum_g M_g labels, c with gradient X^T c,
-    and w with Hessian X^T diag(w) X."""
+    listing each group's (link, M_g, k_g). A symmetric group's k_g may be
+    None when another symmetric group's k holds its count too (``_reduce``):
+    only their total is read. ``kernel(u)`` returns (loss, c, w): the mean
+    loss over the n sum_g M_g labels, c with gradient X^T c, and w with
+    Hessian X^T diag(w) X."""
 
     def __init__(self, groups):
         symmetric = [g for g in groups if g[0].symmetric]
         self.two_sided = [g for g in groups if not g[0].symmetric]
-        self.k = sum(k for _, _, k in symmetric)
+        self.k = sum(k for _, _, k in symmetric if k is not None)
         self.one_sided, tables = [], {}
         for link, M, _ in symmetric:
             if link.family is LinkFamily.SCALED_LOGISTIC:
@@ -181,7 +184,7 @@ class _CountKernel:
         self.one_sided += [(_UniformTable(grid, values).terms, 1.0)
                            for grid, values in tables.values()]
         self.M = float(sum(M for _, M, _ in groups))
-        self.count = sum(k for _, _, k in groups)
+        self.count = sum(k for _, _, k in groups if k is not None)
         self.scale = self.count.size * self.M
 
     def _group_terms(self, u: np.ndarray):
@@ -233,14 +236,26 @@ def _check_dims(spec: LossSpec, theta: np.ndarray, data):
 
 def _reduce(spec: LossSpec, Y: np.ndarray) -> list:
     """The link groups (link, M_g, k_g) of ``spec`` on the n x m labels
-    ``Y``, the labels counted once per group by one product
-    (``links._count_positive``)."""
+    ``Y``, the labels counted by one product (``links._count_positive``).
+
+    The kernel reads only the total count over the symmetric groups, so
+    they share one indicator column: the first symmetric group holds that
+    total as its k and the others hold None. Each two-sided group keeps its
+    own count. Sums of 0s and 1s are exact, so the total is the sum of the
+    groups' own counts, bit for bit, for one n-vector where there were G."""
     if spec.links is None:
         distinct, index = [spec.model_link], np.zeros(Y.shape[1], dtype=np.intp)
     else:
         distinct, index = group_links(spec.links)
-    counts = _count_positive(Y == 1, index)
-    return [(link, int(M), k) for link, M, k in zip(distinct, np.bincount(index), counts)]
+    columns = {}  # count column of each group: "symmetric", or its own
+    column = [columns.setdefault("symmetric" if link.symmetric else g, len(columns))
+              for g, link in enumerate(distinct)]
+    counts = _count_positive(Y == 1, np.asarray(column)[index])
+    groups, counted = [], set()
+    for link, M, col in zip(distinct, np.bincount(index), column):
+        groups.append((link, int(M), None if col in counted else counts[col]))
+        counted.add(col)
+    return groups
 
 
 def _groups(spec: LossSpec, data: MultiLabelDataset | LabelCounts) -> list:
@@ -251,12 +266,21 @@ def _groups(spec: LossSpec, data: MultiLabelDataset | LabelCounts) -> list:
     return _reduce(spec, data.Y)
 
 
+def _transposed(X: np.ndarray) -> np.ndarray:
+    """X^T as a d x n array with contiguous rows, the layout every product
+    of a fit runs in: a view when X's columns are contiguous (column-major
+    X, as ``sample_covariates`` draws it, and any row slice of it, such as
+    a stage of ``semiparam.split_stages``), else one C-contiguous copy."""
+    XT = X.T
+    return XT if XT.strides[1] == XT.itemsize else np.ascontiguousarray(XT)
+
+
 def _kernel_and_design(spec: LossSpec, theta, data):
-    """The kernel of ``spec`` on ``data``, X^T as a C-contiguous array XT
-    and the margins theta XT."""
+    """The kernel of ``spec`` on ``data``, X^T as ``_transposed`` gives it
+    and the margins theta X^T."""
     theta = np.asarray(theta, dtype=float)
     _check_dims(spec, theta, data)
-    XT = np.ascontiguousarray(data.X.T)
+    XT = _transposed(data.X)
     return _CountKernel(_groups(spec, data)), XT, theta @ XT
 
 
@@ -278,8 +302,8 @@ def loss_hessian(spec: LossSpec, theta,
 
 
 def _hessian(XT: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X^T diag(w) X, given X^T as a C-contiguous array XT: scaling its
-    rows and the product both run along the long contiguous n axis, where
+    """X^T diag(w) X, given X^T as an array XT with contiguous rows: scaling
+    its rows and the product both run along the long contiguous n axis, where
     w[:, None] * X has an inner axis of length d. It equals the broadcast
     form X^T (w[:, None] * X) to round-off, not bit for bit."""
     return (XT * w) @ XT.T
@@ -301,8 +325,8 @@ def _separable(kernel: _CountKernel, theta, u) -> bool:
 def _newton(kernel: _CountKernel, XT: np.ndarray, theta: np.ndarray,
             grad_tol: float, max_iters: int):
     """Damped Newton with backtracking on ``kernel`` over the columns of XT,
-    X^T as a C-contiguous d x n array, from theta. Returns (theta, u = theta
-    XT, ||grad||, iterations, stop), stop the reason it stopped
+    X^T as a d x n array with contiguous rows, from theta. Returns (theta,
+    u = theta XT, ||grad||, iterations, stop), stop the reason it stopped
     (``FitResult.stop_reason``)."""
     u = theta @ XT
     loss, coef, w = kernel(u)
@@ -382,8 +406,9 @@ def fit(spec: LossSpec, dataset: MultiLabelDataset | LabelCounts,
     _check_dims(spec, theta, dataset)
     groups = _groups(spec, dataset)
     warm = theta0 is None and dataset.n >= WARM_MIN_ROWS
-    sub = _CountKernel([(link, M, k[::WARM_STRIDE]) for link, M, k in groups]) if warm else None
-    kernel, XT = _CountKernel(groups), np.ascontiguousarray(dataset.X.T)
+    sub = _CountKernel([(link, M, None if k is None else k[::WARM_STRIDE])
+                        for link, M, k in groups]) if warm else None
+    kernel, XT = _CountKernel(groups), _transposed(dataset.X)
     # frees the counts _reduce made when every group is symmetric (each
     # kernel sums its own); a two-sided group's kernels keep their rows
     del groups

@@ -219,28 +219,24 @@ def mirror_symmetric(grid: np.ndarray, values: np.ndarray) -> bool:
                 and np.all(np.abs(values + values[::-1] - 1.0) <= SYMMETRY_TOL))
 
 
-def same_link(a: LinkSpec, b: LinkSpec) -> bool:
-    """Whether two links are the same function (tabulated links by value)."""
-    tabulated = LinkFamily.TABULATED_MONOTONE
-    if a.family is tabulated and b.family is tabulated:
-        # the dataclass __eq__ cannot compare the knot arrays
-        return np.array_equal(a.grid, b.grid) and np.array_equal(a.values, b.values)
-    return a == b
-
-
 def group_links(links) -> tuple[list[LinkSpec], np.ndarray]:
     """Distinct links in order of first appearance, and each link's index
-    into that list."""
+    into that list. Links are the same function when they are equal, and
+    tabulated links when their grids and values are equal (the dataclass
+    ``__eq__`` cannot compare the knot arrays): one dictionary lookup per
+    link, keyed by the knots' bytes after ``+ 0.0``, so that -0 is 0 as
+    under ``np.array_equal``."""
+    first: dict = {}
     distinct: list[LinkSpec] = []
     index = np.empty(len(links), dtype=np.intp)
     for j, link in enumerate(links):
-        for g, seen in enumerate(distinct):
-            if same_link(link, seen):
-                index[j] = g
-                break
-        else:
-            index[j] = len(distinct)
+        key = link
+        if link.family is LinkFamily.TABULATED_MONOTONE:
+            key = ((link.grid + 0.0).tobytes(), (link.values + 0.0).tobytes())
+        g = first.setdefault(key, len(distinct))
+        if g == len(distinct):
             distinct.append(link)
+        index[j] = g
     return distinct, index
 
 

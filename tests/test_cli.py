@@ -294,16 +294,38 @@ def test_repeated_labeler_counts_are_config_error(tmp_path, capsys):
     assert "strictly ascending" in capsys.readouterr().err
 
 
+def _never_runs(*args, **kwargs):
+    raise AssertionError("ran before the output was checked")
+
+
 @pytest.mark.parametrize("command", ["simulate", "theory", "semiparam"])
-def test_unwritable_output_is_config_error(tmp_path, capsys, command):
+def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, command):
+    # simulate and semiparam check their output before any trial or fit
+    # runs: the engine and the fit are replaced by a function that raises
     out = str(tmp_path / "missing" / "r.csv")
     if command == "theory":
         argv = ["theory", "--output", out]
     else:
+        for name in ("run_experiment", "scaling_study", "sample_dataset",
+                     "semiparametric_fit"):
+            monkeypatch.setattr(cli, name, _never_runs)
         argv = [command, _minimal_config(tmp_path, out, extra="trials=2\nn=200"),
                 "--output", out]
     assert main(argv) == 2
     assert f"cannot write {out}" in capsys.readouterr().err
+
+
+def test_output_check_leaves_no_file_and_keeps_an_old_one(tmp_path):
+    # the check before the run makes no file of its own, and a run that
+    # fails after it (3 rows: too many separable trials) leaves an earlier
+    # output as it was
+    out = tmp_path / "r.csv"
+    config = _minimal_config(tmp_path, str(out), extra="n=3")
+    assert main(["simulate", config]) == 3
+    assert not out.exists() and not (tmp_path / "r.csv.summary.json").exists()
+    out.write_text("earlier run\n")
+    assert main(["simulate", config]) == 3
+    assert out.read_text() == "earlier run\n"
 
 
 def test_readme_config_block_equals_defaults():

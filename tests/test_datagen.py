@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from labelsim import (
+    CovariateKind,
     ModelSpec,
     beta_regular,
     isotropic_gaussian,
@@ -19,6 +22,7 @@ from labelsim import (
     tabulated_link,
 )
 from labelsim.datagen import LABEL_COUNT_CROSSOVER
+from labelsim.links import COUNT_BLOCK
 
 
 def _model(d=3, t_star=1.0, m=2):
@@ -275,3 +279,65 @@ def test_label_counts_match_binomial_law(links):
     if len(set(links)) == 1:
         ref = stream_rng(6, 1, "labels").binomial(len(links), link_eval(links[0], margins))
         assert np.array_equal(counts, ref)
+
+
+@pytest.mark.parametrize("dist", [isotropic_gaussian(4),
+                                  beta_regular(3, 0.5, np.array([1.0, 2.0, -2.0]))],
+                         ids=["gaussian", "beta-regular"])
+def test_covariates_equal_one_shot_draw(dist):
+    # Gaussian rows are drawn in blocks of COUNT_BLOCK numbers; over
+    # several blocks and a partial last one they are the one-shot draw
+    n = 3 * (COUNT_BLOCK // dist.d) + 11
+    X = sample_covariates(dist, n, seed=5, trial=1)
+    assert X.flags.f_contiguous
+    rng = stream_rng(5, 1, "covariates")
+    if dist.kind is CovariateKind.ISOTROPIC_GAUSSIAN:
+        ref = rng.standard_normal((n, dist.d))
+    else:  # gammas, then signs, then normals, each whole
+        u = dist.direction
+        z = rng.gamma(dist.beta, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+        w = rng.standard_normal((n, dist.d))
+        w -= np.outer(w @ u, u)
+        ref = np.outer(z, u) + w
+    assert np.ascontiguousarray(X).tobytes() == ref.tobytes()
+
+
+_BLOCKED_LINKS = {"one group": (logistic_link(),) * 7,
+                  "three groups": (scaled_logistic_link(0.5), logistic_link(),
+                                   scaled_logistic_link(2.0)) * 2 + (logistic_link(),)}
+
+
+@pytest.mark.parametrize("links", list(_BLOCKED_LINKS.values()), ids=list(_BLOCKED_LINKS))
+def test_labels_and_counts_equal_one_shot_draw(links):
+    # the uniforms are drawn in row blocks of COUNT_BLOCK numbers; labels
+    # and (below the crossover) counts are those of one n x m draw
+    m = len(links)
+    assert m < LABEL_COUNT_CROSSOVER
+    n = 2 * (COUNT_BLOCK // m) + 13
+    model = ModelSpec(theta_star=np.array([1.5, -0.5, 0.25]), links=links,
+                      covariates=isotropic_gaussian(3))
+    X = sample_covariates(model.covariates, n, seed=8)
+    s = X @ model.theta_star
+    uniforms = stream_rng(8, 3, "labels").random((n, m))
+    probs = np.column_stack([link_eval(link, s) for link in links])
+    want = np.where(uniforms < probs, 1, -1).astype(np.int8)
+    Y = sample_labels(model, X, seed=8, trial=3)
+    assert Y.flags.c_contiguous and Y.tobytes() == want.tobytes()
+    counts = sample_label_counts(model, X, seed=8, trial=3)
+    assert counts.tobytes() == (want == 1).sum(axis=1).astype(float).tobytes()
+
+
+def test_sample_labels_holds_one_block_of_uniforms():
+    # the peak allocation of a label draw stays under twice its labels'
+    # bytes: the n x m float64 uniforms (16 MB here) are never built
+    n, m = 4000, 512
+    model = _model(m=m)
+    X = sample_covariates(model.covariates, n, seed=2)
+    tracemalloc.start()
+    try:
+        Y = sample_labels(model, X, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert Y.nbytes == n * m
+    assert peak < 2 * Y.nbytes, peak

@@ -430,23 +430,28 @@ def test_empty_dataset_rejected():
 
 def test_reduce_counts_equal_boolean_row_sums():
     # the counts of one product per row block (links._count_positive) are
-    # the row sums of each link group's columns, exactly, in either memory
-    # order and across block boundaries (n = 2000 spans several blocks from
-    # m = 33 on)
+    # row sums of the labels, exactly, in either memory order and across
+    # block boundaries (n = 2000 spans several blocks from m = 33 on): the
+    # first symmetric group holds the count over every symmetric group's
+    # columns and the other symmetric groups hold None; a two-sided group
+    # holds its own columns' count
     rng = np.random.default_rng(29)
     n = 2000
-    three = (logistic_link(), scaled_logistic_link(0.5), scaled_logistic_link(2.0))
+    three = (logistic_link(), _model_links()[3], scaled_logistic_link(0.5))
     for m in range(1, 71):
         Y = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, m))
         links = (three * m)[:m]
+        group = np.arange(m) % 3
+        want_k = [(Y[:, group != 1] == 1).sum(axis=1).tolist(),
+                  (Y[:, group == 1] == 1).sum(axis=1).tolist(), None]
+        want = [(M, want_k[g]) for g, M in enumerate(np.bincount(group))]
         for labels in (Y, np.asfortranarray(Y)):
             pooled = _reduce(LossSpec(), labels)
             assert [(M, k.tolist()) for _, M, k in pooled] == \
                 [(m, (Y == 1).sum(axis=1).tolist())], m
             per_labeler = _reduce(LossSpec(links=links), labels)
-            want = [(M, (Y[:, g::3] == 1).sum(axis=1).tolist())
-                    for g, M in enumerate(np.bincount(np.arange(m) % 3))]
-            assert [(M, k.tolist()) for _, M, k in per_labeler] == want, m
+            assert [(M, None if k is None else k.tolist())
+                    for _, M, k in per_labeler] == want, m
 
 
 def test_fit_on_label_counts_equals_fit_on_labels():

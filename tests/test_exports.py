@@ -28,15 +28,19 @@ def test_package_names_are_module_exports():
     assert sorted(public - exported) == []
 
 
-def test_benchmark_tracer_patches_resolve():
-    # the benchmark's tracer wraps labelsim names by attribute; a renamed or
-    # deleted name (estimators.majority_vote_matrix, LossSpec.mode) would
-    # break a traced benchmark run and nothing else
+def _load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
 
+
+def test_benchmark_tracer_patches_resolve():
+    # the benchmark's tracer wraps labelsim names by attribute; a renamed or
+    # deleted name (estimators.majority_vote_matrix, LossSpec.mode) would
+    # break a traced benchmark run and nothing else
+    tracing = _load_tracing()
     rng = np.random.default_rng(0)
     ds = labelsim.MultiLabelDataset(X=rng.standard_normal((50, 2)),
                                     Y=rng.choice([-1, 1], size=(50, 2)))
@@ -52,6 +56,35 @@ def test_benchmark_tracer_patches_resolve():
     assert modes == ["multilabel", "per_labeler"]
     assert [attr for owner, attr, original in patched
             if getattr(owner, attr) is not original] == []
+
+
+@pytest.mark.parametrize("estimator", ["multilabel", "majority", "semiparam", "crowd"])
+def test_engine_runs_under_the_benchmark_tracer(estimator):
+    # the tracer's span stack is single-threaded: the engine's helper thread
+    # draws through no name it patches, so every span opens and closes on
+    # the calling thread, in order
+    tracing = _load_tracing()
+    links = tuple(labelsim.scaled_logistic_link(a) for a in (0.5, 1.0, 2.0))
+    model = labelsim.ModelSpec(theta_star=np.array([1.0, 0.0, 0.0]), links=links,
+                               covariates=labelsim.isotropic_gaussian(3))
+    config = labelsim.ExperimentConfig(model=model, estimator=estimator, n=4000,
+                                       trials=3, seed=5)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, (cli, montecarlo, semiparam, estimators, theory))
+        summary = montecarlo.run_experiment(config)
+    finally:
+        tracer.restore()
+    assert summary.included_count == 3
+    assert tracer._stack == []
+    assert all(span.end is not None for span in tracer.spans)
+    names = [span.name for span in tracer.spans]
+    assert names[0] == "montecarlo.run_experiment"
+    assert "theory.predict_covariance" in names
+    fitted = {"multilabel": "estimators.fit", "majority": "estimators.fit",
+              "semiparam": "semiparam.semiparametric_fit",
+              "crowd": "semiparam.crowdsourced_fit"}[estimator]
+    assert names.count(fitted) == 3
 
 
 def _unread_imports(path: Path) -> list[str]:

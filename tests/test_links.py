@@ -51,6 +51,57 @@ def test_logistic_is_scaled_logistic_at_alpha_one():
     assert index.tolist() == [0, 1, 0, 0]
 
 
+def _pairwise_groups(links):
+    """The pairwise rule: each link against every distinct one before it,
+    equal links, or tabulated links with equal grids and values."""
+    tabulated = LinkFamily.TABULATED_MONOTONE
+
+    def same(a, b):
+        if a.family is tabulated and b.family is tabulated:
+            return np.array_equal(a.grid, b.grid) and np.array_equal(a.values, b.values)
+        return a == b
+
+    distinct, index = [], []
+    for link in links:
+        g = next((g for g, seen in enumerate(distinct) if same(link, seen)), len(distinct))
+        if g == len(distinct):
+            distinct.append(link)
+        index.append(g)
+    return distinct, index
+
+
+def test_group_links_match_the_pairwise_rule():
+    # one dictionary lookup per link gives the groups, in first-appearance
+    # order, of comparing each link with every distinct one before it; a
+    # table whose knots hold -0.0 where another's hold 0.0 is the same link
+    grid = np.linspace(-3.0, 3.0, 13)
+    assert grid[6] == 0.0 and not np.signbit(grid[6])
+    signed = grid.copy()
+    signed[6] = -0.0
+    values = 0.5 + 0.4 * np.tanh(grid)
+    floor = values.copy()
+    floor[0] = 0.0
+    negative_floor = floor.copy()
+    negative_floor[0] = -0.0
+    tables = [tabulated_link(grid, values), tabulated_link(signed, values),
+              tabulated_link(grid, floor), tabulated_link(grid, negative_floor),
+              tabulated_link(grid, 0.5 + 0.3 * np.tanh(grid)),
+              LinkSpec(LinkFamily.TABULATED_MONOTONE, alpha=2.0, grid=grid, values=values)]
+    assert np.signbit(tables[1].grid[6]) and np.signbit(tables[3].values[0])
+    logistic = [logistic_link(), scaled_logistic_link(1.0), scaled_logistic_link(0.5),
+                scaled_logistic_link(2.0)]
+    rng = np.random.default_rng(31)
+    pool = tables + logistic
+    for m in (1, 2, 7, 64, 256):
+        links = [pool[i] for i in rng.integers(len(pool), size=m)]
+        distinct, index = group_links(links)
+        want_distinct, want_index = _pairwise_groups(links)
+        assert index.tolist() == want_index, m
+        assert all(a is b for a, b in zip(distinct, want_distinct, strict=True)), m
+    distinct, index = group_links(pool)
+    assert index.tolist() == [0, 0, 1, 1, 2, 0, 3, 3, 4, 5]
+
+
 def test_link_derivative_finite_difference():
     rng = np.random.default_rng(0)
     h = 1e-6

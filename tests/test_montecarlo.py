@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,69 @@ def test_too_many_excluded_trials_raise_naming_the_flag(monkeypatch, flag,
     with pytest.raises(TooFewIncludedTrials,
                        match=f"^{excluded} trials excluded .*; flags: {flag}$"):
         run_experiment(config)
+
+
+def test_helper_thread_draws_and_ends_with_the_call(monkeypatch):
+    # datasets are drawn on one helper thread, at most one ahead of the fits
+    # on the calling thread; the thread has ended when the call returns,
+    # when a draw raises (its error reaches the caller as it was raised) and
+    # when too many trials are excluded
+    before = threading.active_count()
+    main = threading.get_ident()
+    draw, fit_trial = montecarlo._draw, montecarlo._fit_trial
+    drawn, fitted, ahead, threads = [], [], [], set()
+
+    def counted_draw(config, X, trial):
+        threads.add(("draw", threading.get_ident()))
+        ds = draw(config, X, trial)
+        drawn.append(trial)
+        ahead.append(len(drawn) - len(fitted))
+        return ds
+
+    def counted_fit(config, ds):
+        threads.add(("fit", threading.get_ident()))
+        result = fit_trial(config, ds)
+        fitted.append(config)
+        return result
+
+    monkeypatch.setattr(montecarlo, "_draw", counted_draw)
+    monkeypatch.setattr(montecarlo, "_fit_trial", counted_fit)
+    base = _config(n=3000, trials=4)
+    configs = [dataclasses.replace(base, model=ModelSpec(
+        theta_star=base.model.theta_star, links=(LR,) * m,
+        covariates=base.model.covariates)) for m in (2, 5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        summaries = montecarlo._run_experiments(configs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    # each fit is that of its trial's public draws
+    for config, summary in zip(configs, summaries):
+        model = config.model
+        for t in range(config.trials):
+            X = sample_covariates(model.covariates, config.n, config.seed, t)
+            counts = LabelCounts(X=X, counts=sample_label_counts(model, X, config.seed, t),
+                                 m=model.m)
+            assert np.array_equal(summary.u_hats[t], fit(LossSpec(), counts).u_hat)
+    # a draw runs ahead of the fits by at most the dataset being fitted
+    # and the one waiting for its fit
+    assert len(drawn) == len(fitted) == 8 and max(ahead) <= 2
+    assert {thread for kind, thread in threads if kind == "fit"} == {main}
+    assert main not in {thread for kind, thread in threads if kind == "draw"}
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("sampler failed")
+
+    monkeypatch.setattr(montecarlo, "sample_label_counts", broken)
+    with pytest.raises(ZeroDivisionError, match="^sampler failed$"):
+        run_experiment(base)
+    assert threading.active_count() == before
+    monkeypatch.undo()
+    with pytest.raises(TooFewIncludedTrials):
+        run_experiment(_EXCLUSIONS[0][2])
+    assert threading.active_count() == before
 
 
 def test_config_validation():
